@@ -10,14 +10,12 @@
 //! lines, so a stream recorded by `statsym-inspect live --record` is
 //! byte-identical to the `--trace` file.
 //!
-//! The observability layer adds four more shared flags:
+//! The observability layer adds three more shared flags:
 //!
 //! * `--history <dir|file.jsonl>` — fold the finished trace into a
 //!   [`RunManifest`](statsym_telemetry::manifest::RunManifest) and
 //!   append it to the content-addressed run-history archive
 //!   (`results/history/` by convention). Requires `--trace`.
-//! * `--expose <addr>` — serve live Prometheus-text metrics snapshots
-//!   on a TCP address or Unix socket (`statsym-inspect scrape` client).
 //! * `--crash-dir <dir>` — arm a panic hook that writes a diagnostic
 //!   bundle (panic message, config, reproduce command, partial trace,
 //!   crash manifest) under `<dir>/<run>/` if the run dies.
@@ -49,7 +47,7 @@ fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: [--trace <path>] [--stream <addr>] [--clock steps|wall] [--workers <n>] \
-         [--lineage] [--attr] [--no-share-cache] [--history <dir>] [--expose <addr>] \
+         [--lineage] [--attr] [--no-share-cache] [--history <dir>] \
          [--crash-dir <dir>] [--panic-after <steps>]"
     );
     std::process::exit(2);
@@ -77,7 +75,7 @@ impl TraceSink {
 
     /// Pulls the shared trace/observability flags (`--trace`,
     /// `--stream`, `--clock`, `--workers`, `--lineage`, `--attr`,
-    /// `--no-share-cache`, `--history`, `--expose`, `--crash-dir`,
+    /// `--no-share-cache`, `--history`, `--crash-dir`,
     /// `--panic-after`) out of `args`, leaving every unrecognized
     /// argument in place for the caller to parse — how binaries combine
     /// their own flags with the shared trace options.
@@ -99,7 +97,6 @@ impl TraceSink {
         let mut attr = false;
         let mut share_cache = true;
         let mut history = None;
-        let mut expose = None;
         let mut crash_dir = None;
         let mut panic_after = None;
         let mut rest = Vec::new();
@@ -134,10 +131,6 @@ impl TraceSink {
                     Some(dir) => history = Some(dir),
                     None => usage_exit("--history requires a directory or .jsonl file"),
                 },
-                "--expose" => match it.next() {
-                    Some(addr) => expose = Some(addr),
-                    None => usage_exit("--expose requires an address (host:port or socket path)"),
-                },
                 "--crash-dir" => match it.next() {
                     Some(dir) => crash_dir = Some(dir),
                     None => usage_exit("--crash-dir requires a directory"),
@@ -160,7 +153,7 @@ impl TraceSink {
             .and_then(|s| s.to_str())
             .unwrap_or("bench")
             .to_string();
-        let rec = if path.is_some() || stream.is_some() || expose.is_some() {
+        let rec = if path.is_some() || stream.is_some() {
             let clock = if wall { Clock::wall() } else { Clock::steps() };
             let mut fan = FanoutRecorder::new(clock);
             if let Some(p) = path.as_deref() {
@@ -172,12 +165,6 @@ impl TraceSink {
                 let sink = StreamSink::connect(addr, &run)
                     .unwrap_or_else(|e| usage_exit(&format!("cannot reach {addr}: {e}")));
                 fan.add_sink(Box::new(sink));
-            }
-            if let Some(addr) = expose.as_deref() {
-                let bound = fan
-                    .expose(addr, &run)
-                    .unwrap_or_else(|e| usage_exit(&format!("cannot expose on {addr}: {e}")));
-                eprintln!("metrics exposed on {bound}");
             }
             Some(fan)
         } else {
@@ -293,7 +280,7 @@ impl TraceSink {
     }
 
     /// The recorder to thread through the experiment: the fan-out
-    /// recorder when `--trace` / `--stream` / `--expose` was given, the
+    /// recorder when `--trace` / `--stream` was given, the
     /// no-op recorder otherwise.
     pub fn recorder(&self) -> &dyn Recorder {
         match &self.rec {

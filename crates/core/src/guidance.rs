@@ -112,15 +112,6 @@ impl EventHook for GuidedHook {
             - (meta.progress as i64) * 1_000_000
             - (depth as i64).min(999_999)
     }
-
-    /// Guided matching is a pure function of the event and the state's
-    /// own meta (progress/hops live in [`StateMeta`], not in the hook),
-    /// so independent copies observing schedule-dependent event orders
-    /// still make identical per-state decisions — the requirement for
-    /// the work-stealing executor (`EngineConfig::state_workers`).
-    fn clone_hook<'a>(&'a self) -> Option<Box<dyn EventHook + Send + 'a>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Translates a statistical predicate into solver constraints over the

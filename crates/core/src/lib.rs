@@ -55,7 +55,7 @@ pub use corpus::LogCorpus;
 pub use detour::{Detour, DetourKind};
 pub use guidance::{GuidanceConfig, GuidedHook};
 pub use multi::MultiReport;
-pub use pipeline::{split_worker_budget, AnalysisReport, StatSym, StatSymConfig, StatSymReport};
+pub use pipeline::{AnalysisReport, StatSym, StatSymConfig, StatSymReport};
 pub use portfolio::{run_portfolio_with_cache, PortfolioOutcome};
 pub use predicate::{PredOp, Predicate, PredicateSet};
 pub use skeleton::Skeleton;

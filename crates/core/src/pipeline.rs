@@ -58,42 +58,6 @@ pub struct StatSymConfig {
     /// reported triggering input. Turn it on when throughput matters
     /// more than witness reproducibility.
     pub share_unsat_cache: bool,
-    /// Let the pipeline move surplus portfolio workers inside the
-    /// engines as state workers via [`split_worker_budget`] — the cure
-    /// for the portfolio plateau when candidates are fewer than
-    /// workers. Off by default: the work-stealing executor explores in
-    /// its own deterministic order rather than hook-priority order, so
-    /// traces and witnesses can differ from the plain sequential run
-    /// (found faults remain sound and replayable). An explicit
-    /// `engine.state_workers` setting is always respected and
-    /// disables the automatic split.
-    pub auto_split_workers: bool,
-}
-
-/// Splits a total worker budget between the two parallelism levels:
-/// candidate-portfolio workers (outer) and per-engine state workers
-/// (inner, the work-stealing executor; see
-/// `symex::EngineConfig::state_workers`).
-///
-/// Candidates get priority — they are coarser-grained and perfectly
-/// independent — and only the surplus budget moves inside the engines:
-/// with fewer candidates than workers each engine gets
-/// `total / candidates` state workers. An inner share of 1 is reported
-/// as `0` (the sequential legacy executor) because a one-worker steal
-/// run only adds scheduling overhead.
-///
-/// ```
-/// use statsym_core::pipeline::split_worker_budget;
-/// assert_eq!(split_worker_budget(8, 1), (1, 8)); // all budget inside
-/// assert_eq!(split_worker_budget(8, 3), (3, 2)); // surplus moves in
-/// assert_eq!(split_worker_budget(2, 5), (2, 0)); // candidates first
-/// assert_eq!(split_worker_budget(1, 4), (1, 0)); // fully sequential
-/// ```
-pub fn split_worker_budget(total: usize, candidates: usize) -> (usize, usize) {
-    let total = total.max(1);
-    let cand = total.min(candidates.max(1));
-    let state = total / cand;
-    (cand, if state > 1 { state } else { 0 })
 }
 
 /// Spearman rank correlation between candidate rank order (the slice
@@ -197,15 +161,14 @@ impl Default for StatSymConfig {
             cancel_on_found: true,
             share_cache: true,
             share_unsat_cache: false,
-            auto_split_workers: false,
         }
     }
 }
 
 /// Content fingerprint of a pipeline configuration for run manifests.
 ///
-/// Scheduling-only knobs (worker counts, cancellation, budget
-/// splitting, steal tuning) are canonicalized before hashing: they
+/// Scheduling-only knobs (worker count, cancellation) are
+/// canonicalized before hashing: they
 /// change how fast a run executes, never what it computes, so the same
 /// workload at 1 and 8 workers carries the same fingerprint and
 /// cross-run analytics can group those runs together. Semantic knobs —
@@ -215,11 +178,6 @@ pub fn config_fingerprint(config: &StatSymConfig) -> String {
     let mut canon = *config;
     canon.workers = 1;
     canon.cancel_on_found = true;
-    canon.auto_split_workers = false;
-    let engine_defaults = EngineConfig::default();
-    canon.engine.state_workers = 0;
-    canon.engine.steal_slice = engine_defaults.steal_slice;
-    canon.engine.steal_seed = engine_defaults.steal_seed;
     statsym_telemetry::manifest::fnv64_hex(format!("{canon:?}").as_bytes())
 }
 
@@ -483,24 +441,9 @@ impl StatSym {
             .share_unsat_cache
             .then(|| std::sync::Arc::new(solver::UnsatCache::default()));
 
-        // The sequential loop runs when the portfolio level has nothing
-        // to parallelize (one candidate, or workers == 1). Under
-        // `auto_split_workers`, a worker budget that cannot be spent
-        // across candidates moves inside the engine as state workers —
-        // this is what breaks the portfolio's scaling plateau on
-        // single-candidate workloads.
-        let state_workers = if self.config.auto_split_workers
-            && self.config.engine.state_workers == 0
-            && self.config.workers > 1
-        {
-            split_worker_budget(self.config.workers, paths.len()).1
-        } else {
-            self.config.engine.state_workers
-        };
         for (index, path) in paths.iter().enumerate() {
             let engine_config = EngineConfig {
                 scheduler: SchedulerKind::Priority,
-                state_workers,
                 candidate_rank: index as u32 + 1,
                 ..self.config.engine
             };
@@ -589,10 +532,6 @@ mod tests {
         let mut scaled = base;
         scaled.workers = 8;
         scaled.cancel_on_found = false;
-        scaled.auto_split_workers = true;
-        scaled.engine.state_workers = 4;
-        scaled.engine.steal_slice = 128;
-        scaled.engine.steal_seed = 99;
         assert_eq!(config_fingerprint(&scaled), fp);
 
         // Semantic knobs: each changes the fingerprint.
@@ -955,34 +894,21 @@ mod tests {
     }
 
     #[test]
-    fn split_worker_budget_gives_candidates_priority() {
-        assert_eq!(split_worker_budget(8, 0), (1, 8));
-        assert_eq!(split_worker_budget(8, 1), (1, 8));
-        assert_eq!(split_worker_budget(8, 3), (3, 2));
-        assert_eq!(split_worker_budget(8, 8), (8, 0));
-        assert_eq!(split_worker_budget(6, 4), (4, 0));
-        assert_eq!(split_worker_budget(0, 3), (1, 0));
-        assert_eq!(split_worker_budget(16, 3), (3, 5));
-    }
-
-    #[test]
-    fn surplus_workers_flow_into_the_engine_on_single_candidate_runs() {
+    fn surplus_workers_on_a_single_candidate_match_sequential() {
         let m = module();
         let logs = gen_logs(&m, 30, 1.0, 7);
         let mut analysis = StatSym::default().analyze(&logs);
         analysis.candidates.as_mut().unwrap().paths.truncate(1);
         let seq = StatSym::default().run_with_analysis(&m, analysis.clone());
         let s = seq.found.as_ref().expect("single candidate suffices");
-        // workers > 1 with one candidate cannot portfolio: the budget
-        // must move inside the engine (state_workers = 4) and still
-        // verify the same fault with a replayable witness.
+        // workers > 1 with one candidate has nothing to parallelize: the
+        // run must verify the same fault with a replayable witness.
         let cfg = StatSymConfig {
             workers: 4,
-            auto_split_workers: true,
             ..StatSymConfig::default()
         };
         let par = StatSym::new(cfg).run_with_analysis(&m, analysis);
-        let p = par.found.as_ref().expect("state-parallel run still finds");
+        let p = par.found.as_ref().expect("surplus-worker run still finds");
         assert_eq!(p.fault.func, s.fault.func);
         assert_eq!(par.candidate_used, Some(0));
         let vm = concrete::Vm::new(&m, concrete::VmConfig::default());

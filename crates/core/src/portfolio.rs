@@ -121,14 +121,6 @@ pub fn run_portfolio_with_cache(
     let unsat = config
         .share_unsat_cache
         .then(|| Arc::new(UnsatCache::default()));
-    // Two-level budget split (see `pipeline::split_worker_budget`):
-    // surplus workers beyond the candidate count run inside each
-    // engine as state workers when the pipeline opted in.
-    let state_workers = if config.auto_split_workers && config.engine.state_workers == 0 {
-        crate::pipeline::split_worker_budget(config.workers, n).1
-    } else {
-        config.engine.state_workers
-    };
 
     let span = rec.span_open(names::PORTFOLIO);
     rec.counter_add(names::PORTFOLIO_WORKERS, workers as u64);
@@ -148,7 +140,7 @@ pub fn run_portfolio_with_cache(
     // to re-solve queries a published verdict would have answered. The
     // protocol is schedule-independent, so clamping the *spawned*
     // threads changes wall time only — `workers` stays the logical
-    // budget for reporting and budget splits.
+    // budget for reporting.
     let spawn = thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(workers)
@@ -168,7 +160,6 @@ pub fn run_portfolio_with_cache(
                 }
                 let engine_config = EngineConfig {
                     scheduler: SchedulerKind::Priority,
-                    state_workers,
                     candidate_rank: rank as u32 + 1,
                     ..config.engine
                 };

@@ -7,8 +7,8 @@
 //! ([`statsym_telemetry::TraceSummary::attr_locs`]), ranks by a chosen
 //! dimension, and shows the share of the total each line explains.
 //!
-//! Attribution counters fold by name across workers and segments, so
-//! the table is identical at any portfolio or state-worker count —
+//! Attribution counters fold by name across workers, so the table is
+//! identical at any portfolio worker count —
 //! `--format json` output is cmp-gateable in CI. `--format flame`
 //! emits collapsed stacks (`func;line weight`) compatible with
 //! inferno / speedscope / flamegraph.pl.

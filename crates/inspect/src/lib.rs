@@ -38,8 +38,7 @@
 //!   stream back to a byte-identical trace file.
 //!
 //! Over the persistent run-history archive
-//! ([`statsym_telemetry::manifest`]) and the metrics exposition
-//! endpoint:
+//! ([`statsym_telemetry::manifest`]):
 //!
 //! * [`history`] — list/filter the archive, and `history add` for
 //!   appending records without running a workload (the CI synthetic-
@@ -47,8 +46,6 @@
 //! * [`trend`] — windowed median/MAD drift analysis of the last run vs
 //!   its predecessors, with a `--gate` CI exit code; `regress` isolates
 //!   the first archive run that broke a metric.
-//! * [`scrape`] — one-shot client for a run's `--expose` Prometheus
-//!   text-format endpoint.
 //!
 //! Traces are loaded with the *strict* parser: unbalanced or duplicate
 //! spans are rejected with line-numbered errors rather than silently
@@ -67,7 +64,6 @@ pub mod history;
 pub mod hotspots;
 pub mod live;
 pub mod numjson;
-pub mod scrape;
 pub mod tail;
 pub mod top;
 pub mod tree;

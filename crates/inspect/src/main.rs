@@ -17,7 +17,6 @@
 //! statsym-inspect history add <archive> [--from-trace <t>] [--inflate <metric=pct>]... [--repeat <n>] ...
 //! statsym-inspect trend <archive> [--window <n>] [--sigma <z>] [--min-delta <n>] [--metric <prefix>]... [--gate]
 //! statsym-inspect regress <archive> <metric> [--window <n>] [--sigma <z>] [--min-delta <n>]
-//! statsym-inspect scrape <addr>
 //! ```
 //!
 //! Exit codes: 0 success (and no regressions), 1 `diff` found at least
@@ -29,7 +28,7 @@
 use statsym_inspect::diff::{diff_files, parse_threshold, DiffConfig};
 use statsym_inspect::{
     calib, coverage, critical, explain, flame, history, hotspots, live, load_trace,
-    load_trace_truncated, report, report_json, scrape, top, tree, trend, watch,
+    load_trace_truncated, report, report_json, top, tree, trend, watch,
 };
 use statsym_telemetry::manifest;
 
@@ -112,10 +111,6 @@ commands:
       First-bad-run isolation: baselines <metric> over the earliest
       --window runs and reports the first run deviating beyond the
       robust threshold.
-  scrape <addr>
-      One-shot client for a run's --expose metrics endpoint: prints the
-      Prometheus text-format snapshot between the stream's hello and
-      end frames.
 ";
 
 fn usage_exit(msg: &str) -> ! {
@@ -427,10 +422,6 @@ fn main() {
         Some("history") => run_history(&args[1..]),
         Some("trend") => run_trend(&args[1..]),
         Some("regress") => run_regress(&args[1..]),
-        Some("scrape") => {
-            let [addr] = positional::<1>(&args[1..], "scrape <addr>");
-            scrape::scrape(&addr)
-        }
         Some(other) => usage_exit(&format!("unknown command `{other}`")),
         None => usage_exit("missing command"),
     };

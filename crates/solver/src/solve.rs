@@ -175,13 +175,7 @@ impl SatResult {
 
 /// The solver, with a per-instance query cache and an optional injected
 /// shared verdict cache (see [`crate::cache`]).
-///
-/// `Clone` duplicates the private cache and stats and shares the
-/// injected caches — the work-stealing executor clones the parent
-/// task's solver at every fork, so sibling states inherit the path
-/// prefix's cached verdicts and every per-task counter stays a pure
-/// function of the fork lineage (schedule-independent).
-#[derive(Default, Clone)]
+#[derive(Default)]
 pub struct Solver {
     config: SolverConfig,
     stats: SolverStats,
@@ -192,10 +186,8 @@ pub struct Solver {
 }
 
 /// Transient provenance context stamped onto query events (see
-/// [`Solver::set_provenance`]). Cloned with the solver at forks, so a
-/// child state inherits its parent's context until the executor updates
-/// it on the next step.
-#[derive(Default, Clone)]
+/// [`Solver::set_provenance`]).
+#[derive(Default)]
 struct Prov {
     enabled: bool,
     sid: u64,

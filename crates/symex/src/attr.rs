@@ -5,13 +5,11 @@
 //! instruction is billed to the MiniC source line about to run: the
 //! step itself plus the forks, suspensions, solver queries, solver
 //! search nodes, and (wall-clock traces only) solver µs the step
-//! caused. Totals accumulate in a per-run (legacy loop) or per-segment
-//! (steal mode) map and flush as `attr.<function>:<line>.<dim>`
-//! counters. Counters fold by name across worker-buffer merges and the
-//! final counter section dumps sorted, so per-line totals are
-//! byte-identical at any portfolio or state-worker count — each
-//! instruction is executed exactly once no matter how segments are
-//! scheduled.
+//! caused. Totals accumulate in a per-run map and flush as
+//! `attr.<function>:<line>.<dim>` counters. Counters fold by name
+//! across worker-buffer merges and the final counter section dumps
+//! sorted, so per-line totals are byte-identical at any portfolio
+//! worker count.
 //!
 //! With [`crate::EngineConfig::provenance`] on, the same pre-step hook
 //! pushes the originating state id and source location into the solver,

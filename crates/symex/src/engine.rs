@@ -62,7 +62,8 @@ impl Budget {
 /// Engine resource budgets and policy.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// State selection policy.
+    /// State selection policy: which pending state [`Engine::run`]
+    /// executes next. Guided runs use [`SchedulerKind::Priority`].
     pub scheduler: SchedulerKind,
     /// Maximum pending states (live set) before giving up.
     pub max_live_states: usize,
@@ -90,29 +91,6 @@ pub struct EngineConfig {
     /// state transition and grow with the exploration tree, not with
     /// the phase structure.
     pub lineage: bool,
-    /// Number of work-stealing state workers for intra-candidate
-    /// parallel execution (see `crate::steal`). `0` (the default) runs
-    /// the classic single-threaded scheduling loop. With `n ≥ 1`, `n`
-    /// worker threads execute state *segments* concurrently while the
-    /// main thread commits their results in a deterministic DFS
-    /// pre-order, so traces and outcomes are byte-identical at any
-    /// worker count. Steal mode ignores [`EngineConfig::scheduler`]
-    /// (exploration order is the deterministic fork-tree pre-order) and
-    /// requires the guidance hook to support
-    /// [`crate::EventHook::clone_hook`]; hooks that return `None` fall
-    /// back to the legacy loop.
-    pub state_workers: usize,
-    /// Steal-mode segment length: a worker pauses a state after this
-    /// many executed instructions and requeues it, bounding how long a
-    /// big subtree can monopolize one worker. Affects performance only,
-    /// never trace content — but a different slice produces a different
-    /// (equally valid) segment structure, so compare traces only across
-    /// runs with the same slice.
-    pub steal_slice: u64,
-    /// Seed for the steal-victim order (which queue an idle worker robs
-    /// first). Affects scheduling only; trace content is identical for
-    /// every seed.
-    pub steal_seed: u64,
     /// Emit source-level cost attribution (`attr.<func>:<line>.<dim>`
     /// counters): every step, fork, suspension, solver query, solver
     /// search node, and (wall-clock traces) solver µs is billed to the
@@ -131,8 +109,7 @@ pub struct EngineConfig {
     /// Chaos knob: deliberately panic once the executed step count
     /// reaches this threshold. Exercises the crash-capture path (panic
     /// hook bundles, stream end-frame-on-drop) end to end; `None` (the
-    /// default) never fires. Checked in the legacy scheduling loop
-    /// (`state_workers == 0`), the configuration the crash drill runs.
+    /// default) never fires. Checked at every scheduling decision.
     pub panic_after: Option<u64>,
 }
 
@@ -148,9 +125,6 @@ impl Default for EngineConfig {
             max_call_depth: 256,
             solver: SolverConfig::default(),
             lineage: false,
-            state_workers: 0,
-            steal_slice: 2048,
-            steal_seed: 0,
             attribution: false,
             provenance: false,
             candidate_rank: 0,
@@ -271,15 +245,15 @@ pub struct EngineReport {
 
 /// The symbolic execution engine over a SIR module.
 pub struct Engine<'m> {
-    pub(crate) module: &'m Module,
-    pub(crate) config: EngineConfig,
-    pub(crate) ctx: TermCtx,
-    pub(crate) solver: Solver,
-    pub(crate) hook: Box<dyn EventHook + 'm>,
-    pub(crate) pinned: concrete::InputMap,
-    pub(crate) suppressed: Vec<(String, minic::Span)>,
-    pub(crate) rec: &'m dyn Recorder,
-    pub(crate) cancel: Option<Arc<AtomicBool>>,
+    module: &'m Module,
+    config: EngineConfig,
+    ctx: TermCtx,
+    solver: Solver,
+    hook: Box<dyn EventHook + 'm>,
+    pinned: concrete::InputMap,
+    suppressed: Vec<(String, minic::Span)>,
+    rec: &'m dyn Recorder,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl<'m> Engine<'m> {
@@ -369,23 +343,12 @@ impl<'m> Engine<'m> {
 
     /// Explores the program until a fault is found or a budget runs out.
     ///
-    /// With [`EngineConfig::state_workers`] ≥ 1 and a guidance hook that
-    /// supports [`EventHook::clone_hook`], execution runs on the
-    /// work-stealing intra-candidate scheduler (`crate::steal`):
-    /// identical results and byte-identical traces at any worker count,
-    /// but wall-clock scales with workers. Otherwise the classic
-    /// single-threaded loop runs.
+    /// One priority-scheduled loop (paper §V-C): the scheduler pops the
+    /// best pending state, which runs until it forks, terminates, or is
+    /// suspended for straying more than τ hops off the guided path.
+    /// When no active state is left, suspended states resume with
+    /// guidance off.
     pub fn run(&mut self) -> EngineReport {
-        if self.config.state_workers > 0 {
-            if let Some(report) = crate::steal::run_steal(self) {
-                return report;
-            }
-        }
-        self.run_legacy()
-    }
-
-    /// The classic single-threaded scheduling loop.
-    fn run_legacy(&mut self) -> EngineReport {
         let start = Instant::now();
         let rec = self.rec;
         let run_span = rec.span_open(names::ENGINE_RUN);
@@ -891,7 +854,7 @@ impl<'m> Engine<'m> {
 
     /// Builds the final vulnerable-path report from the triggering model
     /// the run loop confirmed at the fault site.
-    pub(crate) fn report(
+    fn report(
         &mut self,
         state: State,
         fault: Fault,
@@ -1852,27 +1815,5 @@ mod tests {
         let trace = statsym_telemetry::render_trace(&rec.finish());
         assert!(trace.contains("\"name\":\"solver.ucache."), "{trace}");
         assert!(!trace.contains("solver.indep."), "{trace}");
-    }
-
-    #[test]
-    fn attribution_is_byte_identical_across_state_worker_counts() {
-        let run = |workers: usize| {
-            let cfg = EngineConfig {
-                attribution: true,
-                provenance: true,
-                candidate_rank: 1,
-                lineage: true,
-                state_workers: workers,
-                ..EngineConfig::default()
-            };
-            attr_run(ATTR_SRC, cfg)
-        };
-        let (r1, t1) = run(1);
-        let (r4, t4) = run(4);
-        assert!(r1.outcome.found().is_some());
-        assert_eq!(r1.stats.exec.steps, r4.stats.exec.steps);
-        assert_eq!(t1, t4, "attr/query trace must not depend on worker count");
-        assert!(t1.contains("\"name\":\"attr."));
-        assert!(t1.contains("\"k\":\"query\""));
     }
 }

@@ -81,22 +81,6 @@ pub trait EventHook {
     fn priority(&self, _meta: &StateMeta, _depth: u32) -> i64 {
         0
     }
-
-    /// Produces an independent copy of this hook for a steal-mode state
-    /// worker (see `EngineConfig::state_workers`). Hooks that carry only
-    /// read-only guidance data (candidate path, thresholds) should
-    /// return `Some`; the default `None` makes the engine fall back to
-    /// the single-threaded scheduling loop, so stateful hooks stay
-    /// correct without opting in.
-    ///
-    /// Worker copies observe only the events of the states their worker
-    /// executes, in a schedule-dependent order — a hook may only opt in
-    /// if its decisions are a pure function of each event (plus state
-    /// `meta`), which is what keeps steal-mode traces byte-identical at
-    /// any worker count.
-    fn clone_hook<'a>(&'a self) -> Option<Box<dyn EventHook + Send + 'a>> {
-        None
-    }
 }
 
 /// The no-guidance hook: pure symbolic execution.
@@ -111,10 +95,6 @@ impl EventHook for NoGuidance {
         _ctx: &mut TermCtx,
     ) -> GuidanceResult {
         GuidanceResult::default()
-    }
-
-    fn clone_hook<'a>(&'a self) -> Option<Box<dyn EventHook + Send + 'a>> {
-        Some(Box::new(*self))
     }
 }
 

@@ -43,7 +43,6 @@ pub mod hook;
 mod lineage;
 pub mod scheduler;
 pub mod state;
-mod steal;
 pub mod value;
 
 pub use engine::{

@@ -11,8 +11,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which scheduling policy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,96 +184,6 @@ impl Scheduler for PriorityScheduler {
     }
 }
 
-/// Per-worker work-stealing deques for steal-mode execution
-/// (`EngineConfig::state_workers`). Each worker owns one deque: it
-/// pushes and pops at the *front* (LIFO, so its own frontier explores
-/// depth-first and stays cache-warm), while idle workers steal from the
-/// *back* of a victim's deque (the oldest, shallowest work — the
-/// classic Cilk discipline, which steals the largest subtrees).
-///
-/// `pending` counts tasks that have been pushed but whose processing
-/// has not been confirmed via [`StealQueues::done`]; a worker that
-/// observes an empty system *and* `pending == 0` can exit, because no
-/// in-flight segment can spawn more work. Callers must push any child
-/// tasks *before* calling `done` on the parent to keep that invariant.
-///
-/// Stealing affects only which worker runs which segment — never trace
-/// content — so the victim order may be arbitrary; [`victim_order`]
-/// seeds it per worker to avoid convoying on one victim.
-#[derive(Debug)]
-pub(crate) struct StealQueues<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-    pending: AtomicUsize,
-}
-
-impl<T> StealQueues<T> {
-    /// Creates `n` empty deques.
-    pub fn new(n: usize) -> StealQueues<T> {
-        StealQueues {
-            queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-        }
-    }
-
-    /// Pushes a task onto `worker`'s own deque (front).
-    pub fn push(&self, worker: usize, task: T) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.queues[worker]
-            .lock()
-            .expect("steal queue lock")
-            .push_front(task);
-    }
-
-    /// Pops the next task: the worker's own front, else steal from the
-    /// back of each victim in `victims` order.
-    pub fn pop(&self, worker: usize, victims: &[usize]) -> Option<T> {
-        if let Some(t) = self.queues[worker]
-            .lock()
-            .expect("steal queue lock")
-            .pop_front()
-        {
-            return Some(t);
-        }
-        for &v in victims {
-            if let Some(t) = self.queues[v].lock().expect("steal queue lock").pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Confirms that one previously-popped task has been fully
-    /// processed (all of its children already pushed).
-    pub fn done(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Tasks pushed but not yet confirmed done.
-    pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::SeqCst)
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A per-worker permutation of the other workers, used as the steal
-/// victim order. Seeded so runs are reproducible, and distinct per
-/// worker so thieves spread out instead of all hammering worker 0.
-pub(crate) fn victim_order(workers: usize, me: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..workers).filter(|&w| w != me).collect();
-    let mut s = splitmix64(seed ^ (me as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    for i in (1..order.len()).rev() {
-        s = splitmix64(s);
-        order.swap(i, (s % (i as u64 + 1)) as usize);
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,37 +257,5 @@ mod tests {
     fn build_scheduler_dispatches() {
         assert_eq!(build_scheduler(SchedulerKind::Bfs).len(), 0);
         assert!(build_scheduler(SchedulerKind::Random { seed: 1 }).is_empty());
-    }
-
-    #[test]
-    fn steal_queues_owner_lifo_thief_fifo() {
-        let q: StealQueues<u32> = StealQueues::new(2);
-        q.push(0, 1);
-        q.push(0, 2);
-        q.push(0, 3);
-        // Owner pops its own front: most recently pushed first.
-        assert_eq!(q.pop(0, &[1]), Some(3));
-        // Thief steals from the back: oldest first.
-        assert_eq!(q.pop(1, &[0]), Some(1));
-        assert_eq!(q.pop(1, &[0]), Some(2));
-        assert_eq!(q.pop(1, &[0]), None);
-        assert_eq!(q.pending(), 3);
-        q.done();
-        q.done();
-        q.done();
-        assert_eq!(q.pending(), 0);
-    }
-
-    #[test]
-    fn victim_order_is_a_seeded_permutation() {
-        for me in 0..4 {
-            let mut v = victim_order(4, me, 7);
-            assert_eq!(v, victim_order(4, me, 7));
-            assert!(!v.contains(&me));
-            v.sort_unstable();
-            let expect: Vec<usize> = (0..4).filter(|&w| w != me).collect();
-            assert_eq!(v, expect);
-        }
-        assert!(victim_order(1, 0, 0).is_empty());
     }
 }

@@ -197,14 +197,14 @@ pub enum TraceEvent {
     /// caches disposed of it. Emitted by the solver dispatch layer when
     /// provenance recording is enabled.
     ///
-    /// `sid` is engine- or segment-local (stable for a deterministic
+    /// `sid` is engine-local (stable for a deterministic
     /// schedule but *not* remapped on buffer merges, unlike lineage
     /// state ids): it identifies the asking state within its enclosing
     /// attempt, not across the whole trace.
     Query {
         /// Emission tick.
         t: u64,
-        /// Engine/segment-local id of the state that issued the query.
+        /// Engine-local id of the state that issued the query.
         sid: u64,
         /// Source location (`function:line`) of the instruction that
         /// triggered the query.

@@ -22,7 +22,6 @@
 mod clock;
 pub mod crash;
 mod event;
-pub mod expose;
 pub mod manifest;
 mod metrics;
 mod recorder;
@@ -237,7 +236,7 @@ pub mod names {
     /// `<dim>` is one of `steps`, `forks`, `suspends`, `queries`,
     /// `nodes`, or (wall-clock traces only) `us`. Counters fold by name
     /// across worker-buffer merges, so totals are byte-identical at any
-    /// portfolio/state-worker count. `statsym-inspect hotspots` renders
+    /// portfolio worker count. `statsym-inspect hotspots` renders
     /// them as the per-line cost table.
     pub const ATTR_PREFIX: &str = "attr.";
     /// Attribution dimension suffixes, in the column order viewers and

@@ -11,7 +11,7 @@
 //! ([`SCHEDULING_PREFIXES`]: `portfolio.*`, `telemetry.*`) are excluded
 //! from both the fold and the trace hash, so a manifest derived from a
 //! deterministic (steps-clock) trace is **byte-identical at any
-//! portfolio worker or state-worker count** — the property the
+//! portfolio worker count** — the property the
 //! byte-identity tests in `tests/observability.rs` pin.
 //!
 //! Records are single canonical JSON lines (fixed key order, integers

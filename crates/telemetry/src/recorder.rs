@@ -58,7 +58,7 @@ pub struct LineageEvent<'a> {
 /// byte-reproducible.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryEvent<'a> {
-    /// Engine/segment-local id of the state that issued the query.
+    /// Engine-local id of the state that issued the query.
     pub sid: u64,
     /// Source location (`function:line`) of the triggering instruction.
     pub loc: &'a str,
@@ -373,8 +373,8 @@ impl SinkCore {
                     sus: *sus,
                 },
                 // Query provenance: only the timestamp is rewritten.
-                // `sid` is deliberately NOT remapped — it is engine/
-                // segment-local by design (queries outnumber lineage
+                // `sid` is deliberately NOT remapped — it is
+                // engine-local by design (queries outnumber lineage
                 // events by orders of magnitude, and a dense global
                 // remap would force every worker query through the
                 // state-id allocator). Names are not renamed either:

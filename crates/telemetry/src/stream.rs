@@ -51,7 +51,6 @@ use std::time::Duration;
 
 use crate::clock::{Clock, ClockMode};
 use crate::event::{json, push_json_str, FieldValue, SpanId, TraceEvent};
-use crate::expose::{render_prometheus, Exposer};
 use crate::metrics::Metrics;
 use crate::recorder::{LineageEvent, QueryEvent, Recorder, SinkCore, TraceBuffer, TRACE_VERSION};
 
@@ -395,10 +394,6 @@ impl Drop for StreamSink {
 pub struct FanoutRecorder {
     core: SinkCore,
     sinks: RefCell<Vec<Box<dyn EventSink>>>,
-    exposer: Option<Exposer>,
-    // State events between exposition refreshes; spans/merges refresh
-    // unconditionally (rare), states are throttled (frequent).
-    expose_pending: std::cell::Cell<u32>,
 }
 
 impl std::fmt::Debug for FanoutRecorder {
@@ -416,8 +411,6 @@ impl FanoutRecorder {
         FanoutRecorder {
             core: SinkCore::new(clock),
             sinks: RefCell::new(Vec::new()),
-            exposer: None,
-            expose_pending: std::cell::Cell::new(0),
         }
     }
 
@@ -439,45 +432,6 @@ impl FanoutRecorder {
     /// Read-only access to the metrics registry.
     pub fn metrics(&self) -> &Metrics {
         &self.core.metrics
-    }
-
-    /// Starts serving Prometheus-text snapshots of the metrics registry
-    /// on `addr` (TCP `host:port`, or a Unix socket path containing
-    /// `/`). Returns the bound address (`:0` resolved). The snapshot is
-    /// refreshed at span boundaries, buffer merges, throttled lineage
-    /// cadence, and finish; `statsym-inspect scrape` is the client.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn expose(&mut self, addr: &str, run: &str) -> io::Result<String> {
-        let exp = Exposer::bind(addr, run)?;
-        let bound = exp.addr().to_string();
-        exp.update(render_prometheus(&self.core.metrics));
-        self.exposer = Some(exp);
-        Ok(bound)
-    }
-
-    /// State events between exposition refreshes — frequent-event
-    /// throttle so lineage-heavy runs don't render a snapshot per fork.
-    const EXPOSE_STATE_STRIDE: u32 = 256;
-
-    fn refresh_exposition(&self) {
-        if let Some(exp) = &self.exposer {
-            exp.update(render_prometheus(&self.core.metrics));
-            self.expose_pending.set(0);
-        }
-    }
-
-    fn refresh_exposition_throttled(&self) {
-        if self.exposer.is_some() {
-            let n = self.expose_pending.get() + 1;
-            if n >= Self::EXPOSE_STATE_STRIDE {
-                self.refresh_exposition();
-            } else {
-                self.expose_pending.set(n);
-            }
-        }
     }
 
     fn broadcast(&self, ev: &TraceEvent) {
@@ -502,10 +456,6 @@ impl FanoutRecorder {
         let dropped: u64 = sinks.iter().map(|s| s.dropped()).sum();
         if dropped > 0 {
             self.core.metrics.counter_add(STREAM_DROPPED, dropped);
-        }
-        if let Some(exp) = &self.exposer {
-            // Final snapshot, then shut the endpoint down (dropped below).
-            exp.update(render_prometheus(&self.core.metrics));
         }
         for ev in self.core.metrics.snapshot() {
             for sink in sinks.iter_mut() {
@@ -540,7 +490,6 @@ impl Recorder for FanoutRecorder {
         if let Some(ev) = self.core.close(id) {
             self.broadcast(&ev);
         }
-        self.refresh_exposition();
     }
 
     fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
@@ -582,7 +531,6 @@ impl Recorder for FanoutRecorder {
         for sink in self.sinks.borrow_mut().iter_mut() {
             sink.flush_hint();
         }
-        self.refresh_exposition_throttled();
     }
 
     fn query(&self, ev: &QueryEvent<'_>) {
@@ -601,7 +549,6 @@ impl Recorder for FanoutRecorder {
         for ev in self.core.splice(buf, prefix) {
             self.broadcast(&ev);
         }
-        self.refresh_exposition();
     }
 }
 
@@ -797,30 +744,6 @@ mod tests {
             StreamFrame::parse(lines[lines.len() - 1]),
             Some(StreamFrame::End { dropped: 0 })
         );
-    }
-
-    #[test]
-    fn exposition_refreshes_at_span_close_and_serves_scrapes() {
-        let mut fan = FanoutRecorder::new(Clock::steps());
-        let addr = fan.expose("127.0.0.1:0", "exposed").unwrap();
-        fan.counter_add("symex.steps", 41);
-        let id = fan.span_open("phase.demo");
-        fan.span_close(id); // refresh point
-        let text = scrape(&addr);
-        assert!(text.contains("statsym_symex_steps 41"), "{text}");
-        fan.finish().unwrap();
-    }
-
-    fn scrape(addr: &str) -> String {
-        for _ in 0..50 {
-            if let Ok(mut s) = std::net::TcpStream::connect(addr) {
-                let mut text = String::new();
-                io::Read::read_to_string(&mut s, &mut text).unwrap();
-                return text;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        panic!("could not connect to exposition endpoint {addr}");
     }
 
     #[test]

@@ -30,12 +30,10 @@ use rand::{RngExt, SeedableRng};
 use solver::{CachedVerdict, QueryCache, SharedCache, SharedCacheStats, SolverConfig};
 use statsym_core::pipeline::{StatSym, StatSymReport};
 use statsym_core::run_portfolio_with_cache;
-use statsym_telemetry::{render_trace, Clock, MemRecorder, NOOP};
+use statsym_telemetry::NOOP;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use symex::{Engine, EngineConfig};
-
-use crate::oracles::compare_engine_reports;
 
 /// A deterministic, seed-derived fault-injection plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,11 +173,7 @@ impl QueryCache for ChaosCache {
 /// 2. anything still reported as a fault replays concretely with the
 ///    same class at the same site (never a *wrong* fault);
 /// 3. a 2-worker portfolio over a chaos-wrapped shared cache, with
-///    cancellation enabled, still converges to the sequential result;
-/// 4. the work-stealing executor at 1, 2, and 4 state workers renders
-///    byte-identical traces under budget chaos, and reports identical
-///    results even when every shared-cache lookup goes through
-///    [`ChaosCache`]-injected misses.
+///    cancellation enabled, still converges to the sequential result.
 pub fn check_chaos(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
     let module = sir::lower(program).map_err(|e| format!("lowering failed: {e}"))?;
     let schedule = ChaosSchedule::derive(seed);
@@ -207,71 +201,6 @@ pub fn check_chaos(program: &Program, seed: u64) -> Result<OracleOutcome, String
                 found.fault.kind, found.fault.func, fault.kind, fault.func
             ));
         }
-    }
-
-    // 4: the work-stealing executor under the same budget chaos is
-    // invariant in the state-worker count. Trace byte-identity is
-    // checked without a shared cache (cache-traffic counters in the
-    // rendered trace are legitimately schedule-dependent); report
-    // identity is then re-checked with a chaos-wrapped shared cache so
-    // injected misses exercise the steal workers' cache path too.
-    let steal_cfg = |state_workers: usize| EngineConfig {
-        state_workers,
-        steal_slice: 13,
-        steal_seed: seed,
-        lineage: true,
-        ..chaos_engine
-    };
-    let traced_steal = |state_workers: usize| {
-        let rec = MemRecorder::new(Clock::steps());
-        let report = {
-            let mut eng = Engine::new(&module, steal_cfg(state_workers));
-            eng.set_recorder(&rec);
-            eng.run()
-        };
-        (render_trace(&rec.finish()), report)
-    };
-    let (steal_trace, steal_report) = traced_steal(1);
-    if let Some(found) = steal_report.outcome.found() {
-        let vm = Vm::new(&module, VmConfig::default());
-        let run = vm
-            .run(&found.inputs)
-            .map_err(|e| format!("chaos {schedule:?}: VM rejected steal model inputs: {e}"))?;
-        if run.outcome.fault().is_none() {
-            return Err(format!(
-                "chaos {schedule:?}: steal-mode fault {:?} does not reproduce concretely",
-                found.fault.kind
-            ));
-        }
-    }
-    for state_workers in [2usize, 4] {
-        let (trace, report) = traced_steal(state_workers);
-        if trace != steal_trace {
-            return Err(format!(
-                "chaos {schedule:?}: steal trace at {state_workers} state workers \
-                 is not byte-identical to 1"
-            ));
-        }
-        compare_engine_reports(
-            &steal_report,
-            &report,
-            &format!("chaos steal state_workers={state_workers}"),
-        )?;
-    }
-    let cached_steal = |state_workers: usize| {
-        let chaos_cache: Arc<dyn QueryCache + Send + Sync> =
-            Arc::new(ChaosCache::new(Arc::new(SharedCache::new(4)), schedule));
-        let mut eng = Engine::new(&module, steal_cfg(state_workers));
-        eng.set_shared_cache(chaos_cache);
-        eng.run()
-    };
-    let cached_base = cached_steal(1);
-    for state_workers in [2usize, 4] {
-        compare_engine_reports(
-            &cached_base,
-            &cached_steal(state_workers),
-            &format!("chaos steal+cache state_workers={state_workers}"),
-        )?;
     }
 
     // 3: portfolio over a chaos cache still matches sequential.

@@ -572,25 +572,6 @@ fn portfolio(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
             StatSym::new(statsym_config(workers)).run_with_analysis(&module, analysis.clone());
         compare_pipeline_reports(&seq, &par, &format!("workers={workers}"))?;
     }
-    // Steal sweep: with the work-stealing executor engaged inside each
-    // candidate, the whole pipeline report must be invariant in the
-    // state-worker count. Steal mode walks in its own deterministic
-    // order rather than the hook-priority order, so the reference is
-    // steal at 1 state worker, not the legacy executor.
-    let steal = |state_workers: usize| {
-        let mut config = statsym_config(2);
-        config.engine.state_workers = state_workers;
-        config.engine.steal_slice = 64;
-        StatSym::new(config).run_with_analysis(&module, analysis.clone())
-    };
-    let steal_base = steal(1);
-    for state_workers in [2usize, 4] {
-        compare_pipeline_reports(
-            &steal_base,
-            &steal(state_workers),
-            &format!("steal state_workers={state_workers}"),
-        )?;
-    }
     Ok(OracleOutcome::Pass)
 }
 

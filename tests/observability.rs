@@ -7,7 +7,6 @@
 use statsym::concrete::{ExecutionLog, InputValue, VmConfig};
 use statsym::core::pipeline::{config_fingerprint, StatSym, StatSymConfig};
 use statsym::sir::Module;
-use statsym::symex::EngineConfig;
 use statsym::telemetry::crash::{CrashContext, CrashGuard};
 use statsym::telemetry::manifest::{ManifestMeta, RunManifest};
 use statsym::telemetry::{Clock, MemRecorder, StreamFrame, NOOP};
@@ -77,15 +76,11 @@ fn corpus(module: &Module) -> Vec<ExecutionLog> {
 
 /// Deterministic config: no cancellation races, no shared solver cache,
 /// so worker buffers are scheduling-independent.
-fn config(workers: usize, state_workers: usize) -> StatSymConfig {
+fn config(workers: usize) -> StatSymConfig {
     StatSymConfig {
         workers,
         cancel_on_found: false,
         share_cache: false,
-        engine: EngineConfig {
-            state_workers,
-            ..EngineConfig::default()
-        },
         ..StatSymConfig::default()
     }
 }
@@ -102,71 +97,37 @@ fn meta(cfg: &StatSymConfig) -> ManifestMeta {
 
 /// The tentpole identity contract: the manifest a run folds down to is
 /// a property of the *workload*, not of how it was scheduled. Every
-/// portfolio-worker x state-worker combination must render the same
-/// bytes — config fingerprint included, because the fingerprint
-/// canonicalizes scheduling knobs away.
+/// portfolio worker count must render the same bytes — config
+/// fingerprint included, because the fingerprint canonicalizes
+/// scheduling knobs away.
 #[test]
-fn manifests_are_byte_identical_across_worker_and_state_worker_counts() {
+fn manifests_are_byte_identical_across_worker_counts() {
     let m = module();
     let logs = corpus(&m);
-    let analysis = StatSym::new(config(1, 1)).analyze(&logs);
+    let analysis = StatSym::new(config(1)).analyze(&logs);
 
-    let manifest_for = |workers: usize, state_workers: usize| {
-        let cfg = config(workers, state_workers);
+    let manifest_for = |workers: usize| {
+        let cfg = config(workers);
         let meta = meta(&cfg);
         let rec = MemRecorder::new(Clock::steps());
         let _ = StatSym::new(cfg).run_with_analysis_traced(&m, analysis.clone(), &rec);
         RunManifest::from_events(&rec.finish(), &meta).render()
     };
 
-    let baseline = manifest_for(1, 1);
+    let baseline = manifest_for(1);
     assert!(
         baseline.contains("\"kind\":\"statsym.manifest\""),
         "manifest must carry its kind tag: {baseline}"
     );
-    for workers in [1usize, 2, 4] {
-        for state_workers in [1usize, 2, 4] {
-            let got = manifest_for(workers, state_workers);
-            assert_eq!(
-                baseline, got,
-                "manifest must be byte-identical at workers={workers} \
-                 state_workers={state_workers}"
-            );
-        }
+    for workers in [2usize, 4] {
+        let got = manifest_for(workers);
+        assert_eq!(
+            baseline, got,
+            "manifest must be byte-identical at workers={workers}"
+        );
     }
     // Rendering is itself deterministic: same run, same bytes.
-    assert_eq!(baseline, manifest_for(1, 1));
-}
-
-/// The sequential (state_workers == 0) fallback loop and the
-/// work-stealing scheduler agree on every workload metric — ticks,
-/// winner, and all shared counters. Only the scheduler's own footprint
-/// (`symex.sched_picks`, peak-memory) may differ, so history records
-/// from the crash drill stay trend-comparable with fleet runs.
-#[test]
-fn sequential_fallback_agrees_on_workload_metrics() {
-    let m = module();
-    let logs = corpus(&m);
-    let analysis = StatSym::new(config(1, 0)).analyze(&logs);
-
-    let manifest_for = |state_workers: usize| {
-        let cfg = config(1, state_workers);
-        let meta = meta(&cfg);
-        let rec = MemRecorder::new(Clock::steps());
-        let _ = StatSym::new(cfg).run_with_analysis_traced(&m, analysis.clone(), &rec);
-        RunManifest::from_events(&rec.finish(), &meta)
-    };
-    let mut seq = manifest_for(0);
-    let mut par = manifest_for(2);
-    assert_eq!(seq.ticks, par.ticks, "step clock must agree");
-    assert_eq!(seq.winner_rank, par.winner_rank);
-    assert_eq!(seq.budget, par.budget);
-    for m in [&mut seq, &mut par] {
-        m.counters.remove("symex.sched_picks");
-        m.gauges.remove("symex.peak_memory_bytes");
-    }
-    assert_eq!(seq.counters, par.counters, "workload counters must agree");
-    assert_eq!(seq.gauges, par.gauges, "workload gauges must agree");
+    assert_eq!(baseline, manifest_for(1));
 }
 
 /// A forced engine panic (the `--panic-after` chaos knob) must leave
@@ -178,7 +139,7 @@ fn sequential_fallback_agrees_on_workload_metrics() {
 fn engine_panic_yields_crash_bundle_and_stream_end_frame() {
     let m = module();
     let logs = corpus(&m);
-    let analysis = StatSym::new(config(1, 0)).analyze(&logs);
+    let analysis = StatSym::new(config(1)).analyze(&logs);
 
     let dir = std::env::temp_dir().join(format!("statsym-obs-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -186,7 +147,7 @@ fn engine_panic_yields_crash_bundle_and_stream_end_frame() {
     let trace_path = dir.join("partial.jsonl");
     std::fs::create_dir_all(&dir).unwrap();
 
-    let mut cfg = config(1, 0);
+    let mut cfg = config(1);
     cfg.engine.panic_after = Some(40);
     let guard = CrashGuard::install(CrashContext {
         dir: crash_dir.to_string_lossy().into_owned(),

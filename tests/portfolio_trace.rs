@@ -361,55 +361,33 @@ fn attr_projection(events: &[TraceEvent], winner_rank: u64) -> AttrProjection {
 fn attribution_and_calibration_are_identical_across_worker_counts() {
     let m = module();
     let analysis = analysis_with_overshoot(&m);
-    let project = |workers: usize, state_workers: usize| -> AttrProjection {
+    let project = |workers: usize| -> AttrProjection {
         let mut cfg = deterministic_config(workers);
         cfg.engine.attribution = true;
         cfg.engine.provenance = true;
-        cfg.engine.state_workers = state_workers;
         let (bytes, report) = traced_run(&m, &analysis, cfg);
-        assert!(report.found.is_some(), "{workers}x{state_workers}");
+        assert!(report.found.is_some(), "workers={workers}");
         let events = parse_trace_strict(&String::from_utf8(bytes).unwrap()).unwrap();
         attr_projection(&events, 1)
     };
-    // Two comparison groups: the legacy single-threaded loop
-    // (state_workers == 0) and steal mode (state_workers >= 1) explore
-    // in different orders, so work-until-found legitimately differs
-    // *between* them — but within each mode the projection must be
-    // independent of portfolio width and state-worker count.
-    for (label, state_workers, widths) in [
-        ("legacy", 0usize, &[1usize, 2, 4][..]),
-        ("steal", 4, &[1, 2][..]),
-    ] {
-        let base = project(widths[0], state_workers);
-        // The projection is non-trivial: real attribution rows, a
-        // winner calibration record, and provenance-stamped queries.
-        assert!(!base.0.is_empty(), "{label}: attr.* counters expected");
+    let base = project(1);
+    // The projection is non-trivial: real attribution rows, a winner
+    // calibration record, and provenance-stamped queries.
+    assert!(!base.0.is_empty(), "attr.* counters expected");
+    assert_eq!(base.1.len(), 1, "one sequential-equivalent attempt");
+    assert_eq!(base.1[0].0, 1, "winner record carries rank 1");
+    assert!(base.1[0].7, "winner record marks found");
+    assert_eq!(base.2, Some(1), "winner-rank gauge");
+    assert!(!base.4.is_empty(), "query events expected");
+    let attributed: u64 = base.0.iter().map(|(_, d)| d[0]).sum();
+    assert!(attributed > 0, "attributed steps expected");
+    // The projection must be independent of portfolio width.
+    for w in [2, 4] {
         assert_eq!(
-            base.1.len(),
-            1,
-            "{label}: one sequential-equivalent attempt"
+            project(w),
+            base,
+            "attribution/calibration diverged at {w} workers"
         );
-        assert_eq!(base.1[0].0, 1, "{label}: winner record carries rank 1");
-        assert!(base.1[0].7, "{label}: winner record marks found");
-        assert_eq!(base.2, Some(1), "{label}: winner-rank gauge");
-        assert!(!base.4.is_empty(), "{label}: query events expected");
-        let attributed: u64 = base.0.iter().map(|(_, d)| d[0]).sum();
-        assert!(attributed > 0, "{label}: attributed steps expected");
-        for &w in &widths[1..] {
-            assert_eq!(
-                project(w, state_workers),
-                base,
-                "attribution/calibration diverged at {w} {label} workers"
-            );
-        }
-        // Steal mode additionally must not care about its own width.
-        if state_workers > 0 {
-            assert_eq!(
-                project(widths[0], 1),
-                base,
-                "attribution/calibration diverged across state-worker counts"
-            );
-        }
     }
 }
 
