@@ -116,7 +116,8 @@ fn parse_fault_tag(tag: &str) -> Option<FaultKind> {
 /// # Errors
 ///
 /// Returns a [`ParseLogError`] with the offending line number on any
-/// malformed header, location, or variable line.
+/// malformed header, location, or variable line, including a variable
+/// whose value is `NaN` or infinite.
 pub fn parse_log(text: &str) -> Result<ExecutionLog, ParseLogError> {
     let err = |line: usize, message: &str| ParseLogError {
         line,
@@ -172,7 +173,12 @@ pub fn parse_log(text: &str) -> Result<ExecutionLog, ParseLogError> {
                 .last_mut()
                 .ok_or_else(|| err(lineno, "variable before any location"))?;
             let var = parse_var(var).ok_or_else(|| err(lineno, "bad variable"))?;
-            let value: f64 = value.parse().map_err(|_| err(lineno, "bad value"))?;
+            // The statistical analysis needs finite observations.
+            let value = value
+                .parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| err(lineno, "bad value"))?;
             rec.vars.push((var, value));
         } else {
             return Err(err(lineno, "unrecognized line"));
@@ -282,6 +288,15 @@ mod tests {
     fn rejects_garbage_lines() {
         let e = parse_log("#verdict correct\n???\n").unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for value in ["NaN", "inf", "-inf"] {
+            let text = format!("#verdict correct\n@ main():enter\nx GLOBAL = {value}\n");
+            let e = parse_log(&text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (3, "bad value"), "{value}");
+        }
     }
 
     #[test]

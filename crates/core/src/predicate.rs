@@ -172,16 +172,28 @@ fn construct(loc: Location, var: VarId, obs: &Observations) -> Option<Predicate>
 }
 
 /// Finds the threshold/direction minimizing Eq. 1 over all candidate
-/// cut points (midpoints between adjacent distinct observed values).
+/// cut points (midpoints between adjacent distinct observed values,
+/// plus a sentinel beyond each end).
+///
+/// Sort-once sweep: both columns are sorted once, merged into the
+/// distinct values, and each cut counts `v > cut` / `v < cut` per side
+/// by binary search, so the cost is O(n log n + d log n) for n
+/// observations and d distinct values. Counting compares against the
+/// real cut rather than stepping from one distinct value to the next:
+/// a midpoint of two adjacent floats can round onto one of them.
+///
+/// Requires finite observations (the log parser rejects `NaN`/`inf`):
+/// a `NaN` breaks the sorted order the binary searches rely on.
 fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate {
-    let mut values: Vec<f64> = obs
-        .correct
-        .iter()
-        .chain(obs.faulty.iter())
-        .copied()
-        .collect();
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    values.dedup();
+    debug_assert!(
+        obs.correct.iter().chain(&obs.faulty).all(|v| v.is_finite()),
+        "observations must be finite"
+    );
+    let mut correct = obs.correct.clone();
+    let mut faulty = obs.faulty.clone();
+    correct.sort_unstable_by(f64::total_cmp);
+    faulty.sort_unstable_by(f64::total_cmp);
+    let values = merge_distinct(&correct, &faulty);
 
     // Candidate thresholds: midpoints plus sentinels beyond both ends.
     let mut cuts = Vec::with_capacity(values.len() + 1);
@@ -191,22 +203,22 @@ fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate
     }
     cuts.push(values[values.len() - 1] + 1.0);
 
-    let n_c = obs.correct.len() as f64;
-    let n_f = obs.faulty.len() as f64;
+    let n_c = correct.len() as f64;
+    let n_f = faulty.len() as f64;
+    let above = |col: &[f64], cut: f64| col.len() - col.partition_point(|&v| v <= cut);
+    let below = |col: &[f64], cut: f64| col.partition_point(|&v| v < cut);
     let mut best: Option<(usize, PredOp, f64, f64)> = None; // (err, op, cut, score)
 
     for &cut in &cuts {
         for op in [PredOp::Gt, PredOp::Lt] {
-            let pred = |v: f64| match op {
-                PredOp::Gt => v > cut,
-                PredOp::Lt => v < cut,
+            // Correct and faulty observations satisfying the predicate.
+            let (sat_c, sat_f) = match op {
+                PredOp::Gt => (above(&correct, cut), above(&faulty, cut)),
+                PredOp::Lt => (below(&correct, cut), below(&faulty, cut)),
             };
             // Eq. 1: correct samples satisfying + faulty samples violating.
-            let err = obs.correct.iter().filter(|&&v| pred(v)).count()
-                + obs.faulty.iter().filter(|&&v| !pred(v)).count();
-            let p_c = obs.correct.iter().filter(|&&v| pred(v)).count() as f64 / n_c;
-            let p_f = obs.faulty.iter().filter(|&&v| pred(v)).count() as f64 / n_f;
-            let score = (p_c - p_f).abs();
+            let err = sat_c + (faulty.len() - sat_f);
+            let score = (sat_c as f64 / n_c - sat_f as f64 / n_f).abs();
             let better = match &best {
                 None => true,
                 Some((be, _, _, bs)) => err < *be || (err == *be && score > *bs),
@@ -224,14 +236,126 @@ fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate
         op,
         threshold,
         score,
-        support: obs.correct.len().min(obs.faulty.len()),
+        support: correct.len().min(faulty.len()),
     }
+}
+
+/// The distinct values of two sorted columns, ascending. `-0.0` and
+/// `0.0` count as one value, as they do under `==`.
+fn merge_distinct(a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut out: Vec<f64> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let v = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        if out.last() != Some(&v) {
+            out.push(v);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use concrete::{Measure, VarRole};
+    use proptest::prelude::*;
+
+    /// The quadratic Eq. 1 search the sweep replaced: five full passes
+    /// over the observations per cut and direction. Kept as the
+    /// reference the sweep must match bit for bit.
+    fn optimal_threshold_reference(loc: Location, var: VarId, obs: &Observations) -> Predicate {
+        let mut values: Vec<f64> = obs
+            .correct
+            .iter()
+            .chain(obs.faulty.iter())
+            .copied()
+            .collect();
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        values.dedup();
+
+        let mut cuts = Vec::with_capacity(values.len() + 1);
+        cuts.push(values[0] - 1.0);
+        for w in values.windows(2) {
+            cuts.push((w[0] + w[1]) / 2.0);
+        }
+        cuts.push(values[values.len() - 1] + 1.0);
+
+        let n_c = obs.correct.len() as f64;
+        let n_f = obs.faulty.len() as f64;
+        let mut best: Option<(usize, PredOp, f64, f64)> = None;
+        for &cut in &cuts {
+            for op in [PredOp::Gt, PredOp::Lt] {
+                let pred = |v: f64| match op {
+                    PredOp::Gt => v > cut,
+                    PredOp::Lt => v < cut,
+                };
+                let err = obs.correct.iter().filter(|&&v| pred(v)).count()
+                    + obs.faulty.iter().filter(|&&v| !pred(v)).count();
+                let p_c = obs.correct.iter().filter(|&&v| pred(v)).count() as f64 / n_c;
+                let p_f = obs.faulty.iter().filter(|&&v| pred(v)).count() as f64 / n_f;
+                let score = (p_c - p_f).abs();
+                let better = match &best {
+                    None => true,
+                    Some((be, _, _, bs)) => err < *be || (err == *be && score > *bs),
+                };
+                if better {
+                    best = Some((err, op, cut, score));
+                }
+            }
+        }
+        let (_, op, threshold, score) = best.expect("at least one cut candidate");
+        Predicate {
+            loc,
+            var,
+            op,
+            threshold,
+            score,
+            support: obs.correct.len().min(obs.faulty.len()),
+        }
+    }
+
+    /// Observation values that exercise the sweep's edge cases:
+    /// duplicates (a small integer range), both signed zeros,
+    /// half-integers, and adjacent floats whose midpoint rounds onto
+    /// one of them.
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-6i64..=6).prop_map(|v| v as f64),
+            (-12i64..=12).prop_map(|v| v as f64 / 2.0),
+            Just(-0.0),
+            Just(0.0),
+            (0i64..=3).prop_map(|k| 9_007_199_254_740_992.0 + 2.0 * k as f64),
+            (0u64..=3).prop_map(|k| f64::from_bits(1.0f64.to_bits() + k)),
+        ]
+    }
+
+    fn column() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            collection::vec(value(), 1..=1),
+            collection::vec(value(), 1..=24),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn sweep_matches_quadratic_reference(correct in column(), faulty in column()) {
+            let obs = Observations { correct, faulty };
+            let x = VarId::new("x", VarRole::Param, Measure::Value);
+            let got = optimal_threshold(Location::enter("f"), x.clone(), &obs);
+            let want = optimal_threshold_reference(Location::enter("f"), x, &obs);
+            prop_assert_eq!(got.op, want.op, "{:?}", obs);
+            prop_assert_eq!(got.threshold.to_bits(), want.threshold.to_bits(), "{:?}", obs);
+            prop_assert_eq!(got.score.to_bits(), want.score.to_bits(), "{:?}", obs);
+            prop_assert_eq!(got.support, want.support, "{:?}", obs);
+        }
+    }
 
     fn mk(correct: &[f64], faulty: &[f64]) -> Predicate {
         construct(
