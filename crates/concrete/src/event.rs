@@ -6,8 +6,13 @@
 //! (rendered `convert_fileName():enter`, as in the paper's Figure 8);
 //! [`VarId`] is the identity of one logged variable at a location
 //! (rendered `suspect FUNCPARAM` / `track GLOBAL`, as in Table V).
+//!
+//! Names are `Arc<str>` shared with the lowered module, so building a
+//! record bumps reference counts instead of allocating. Equality,
+//! ordering, hashing and rendering all go by the name's content.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Entry or exit side of a function-boundary instrumentation point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,14 +36,14 @@ impl fmt::Display for FnEvent {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Location {
     /// Function name.
-    pub func: String,
+    pub func: Arc<str>,
     /// Entry or exit.
     pub event: FnEvent,
 }
 
 impl Location {
     /// Creates the entry location for `func`.
-    pub fn enter(func: impl Into<String>) -> Location {
+    pub fn enter(func: impl Into<Arc<str>>) -> Location {
         Location {
             func: func.into(),
             event: FnEvent::Enter,
@@ -46,7 +51,7 @@ impl Location {
     }
 
     /// Creates the exit location for `func`.
-    pub fn leave(func: impl Into<String>) -> Location {
+    pub fn leave(func: impl Into<Arc<str>>) -> Location {
         Location {
             func: func.into(),
             event: FnEvent::Leave,
@@ -98,7 +103,7 @@ pub enum Measure {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId {
     /// Source-level variable name (`ret` for return values).
-    pub name: String,
+    pub name: Arc<str>,
     /// Global / parameter / return value.
     pub role: VarRole,
     /// Value or string-length measurement.
@@ -107,7 +112,7 @@ pub struct VarId {
 
 impl VarId {
     /// Creates a variable identity.
-    pub fn new(name: impl Into<String>, role: VarRole, measure: Measure) -> VarId {
+    pub fn new(name: impl Into<Arc<str>>, role: VarRole, measure: Measure) -> VarId {
         VarId {
             name: name.into(),
             role,
@@ -151,5 +156,74 @@ mod tests {
         let a = Location::enter("a");
         let b = Location::leave("a");
         assert!(a < b);
+    }
+
+    #[test]
+    fn shared_names_compare_hash_and_sort_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        fn hash_of(v: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+
+        // Two separate allocations of the same name.
+        let a: Arc<str> = Arc::from(String::from("parse"));
+        let b: Arc<str> = Arc::from(String::from("parse"));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(Location::enter(a.clone()), Location::enter(b.clone()));
+        assert_eq!(
+            hash_of(&Location::enter(a.clone())),
+            hash_of(&Location::enter(b.clone()))
+        );
+        let va = VarId::new(a.clone(), VarRole::Param, Measure::Length);
+        let vb = VarId::new(b, VarRole::Param, Measure::Length);
+        assert_eq!(va, vb);
+        assert_eq!(hash_of(&va), hash_of(&vb));
+        // A shared name hashes like the string it holds.
+        assert_eq!(hash_of(&a), hash_of(&String::from("parse")));
+
+        // Sorting matches the order of the same keys with `String` names:
+        // name first, then enter < leave, then Global < Param < Return.
+        let mut locs = [
+            Location::leave("b"),
+            Location::enter("b"),
+            Location::leave("a"),
+            Location::enter("ab"),
+            Location::enter("a"),
+        ];
+        locs.sort();
+        let rendered: Vec<String> = locs.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            rendered,
+            [
+                "a():enter",
+                "a():leave",
+                "ab():enter",
+                "b():enter",
+                "b():leave"
+            ]
+        );
+        let mut vars = [
+            VarId::new("x", VarRole::Return, Measure::Value),
+            VarId::new("x", VarRole::Param, Measure::Value),
+            VarId::new("x", VarRole::Global, Measure::Value),
+            VarId::new("w", VarRole::Return, Measure::Value),
+            VarId::new("x", VarRole::Param, Measure::Length),
+        ];
+        vars.sort();
+        let rendered: Vec<String> = vars.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            rendered,
+            [
+                "w RETURN",
+                "x GLOBAL",
+                "x FUNCPARAM",
+                "len(x FUNCPARAM)",
+                "x RETURN"
+            ]
+        );
     }
 }

@@ -200,7 +200,7 @@ fn parse_location(s: &str) -> Option<Location> {
         _ => return None,
     };
     Some(Location {
-        func: func.to_string(),
+        func: func.into(),
         event,
     })
 }

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sir::{FuncBody, GlobalDef};
 use statsym_telemetry::{names, Recorder, NOOP};
+use std::sync::Arc;
 
 /// One sampled instrumentation record: a location plus the numeric view
 /// of every variable visible there.
@@ -82,6 +83,8 @@ pub struct Monitor<'r> {
     rng: StdRng,
     records: Vec<LogRecord>,
     rec: &'r dyn Recorder,
+    /// The name of every return value, shared by all leave records.
+    ret_name: Arc<str>,
 }
 
 impl std::fmt::Debug for Monitor<'_> {
@@ -108,6 +111,7 @@ impl<'r> Monitor<'r> {
             rng: StdRng::seed_from_u64(seed),
             records: Vec::new(),
             rec,
+            ret_name: Arc::from("ret"),
         }
     }
 
@@ -120,23 +124,6 @@ impl<'r> Monitor<'r> {
         };
         self.rec.counter_add(name, 1);
         keep
-    }
-
-    fn global_vars(globals: &[GlobalDef], gvals: &[Value]) -> Vec<(VarId, f64)> {
-        globals
-            .iter()
-            .zip(gvals)
-            .filter_map(|(def, val)| {
-                val.numeric_view().map(|(num, is_len)| {
-                    let measure = if is_len {
-                        Measure::Length
-                    } else {
-                        Measure::Value
-                    };
-                    (VarId::new(def.name.clone(), VarRole::Global, measure), num)
-                })
-            })
-            .collect()
     }
 
     /// Consumes the collected records into an [`ExecutionLog`], deriving
@@ -156,6 +143,25 @@ impl<'r> Monitor<'r> {
     }
 }
 
+/// The logged entry for `val` under `name`, or `None` when the value has
+/// no numeric view. The name is shared, not copied.
+fn logged(name: &Arc<str>, role: VarRole, val: &Value) -> Option<(VarId, f64)> {
+    val.numeric_view().map(|(num, is_len)| {
+        let measure = if is_len {
+            Measure::Length
+        } else {
+            Measure::Value
+        };
+        (VarId::new(Arc::clone(name), role, measure), num)
+    })
+}
+
+/// Appends every global with a numeric view to `vars`.
+fn push_globals(vars: &mut Vec<(VarId, f64)>, globals: &[GlobalDef], gvals: &[Value]) {
+    let logged_globals = globals.iter().zip(gvals);
+    vars.extend(logged_globals.filter_map(|(def, val)| logged(&def.name, VarRole::Global, val)));
+}
+
 impl ExecHook for Monitor<'_> {
     fn on_enter(
         &mut self,
@@ -167,21 +173,13 @@ impl ExecHook for Monitor<'_> {
         if !self.sample() {
             return;
         }
-        let mut vars = Vec::new();
-        for ((name, _), val) in func.params.iter().zip(args) {
-            if let Some((num, is_len)) = val.numeric_view() {
-                let measure = if is_len {
-                    Measure::Length
-                } else {
-                    Measure::Value
-                };
-                vars.push((VarId::new(name.clone(), VarRole::Param, measure), num));
-            }
-        }
-        vars.extend(Self::global_vars(globals, gvals));
+        let mut vars = Vec::with_capacity(func.params.len() + globals.len());
+        let params = func.params.iter().zip(args);
+        vars.extend(params.filter_map(|((name, _), val)| logged(name, VarRole::Param, val)));
+        push_globals(&mut vars, globals, gvals);
         self.records.push(LogRecord {
             loc: Location {
-                func: func.name.clone(),
+                func: Arc::clone(&func.name),
                 event: FnEvent::Enter,
             },
             vars,
@@ -198,19 +196,12 @@ impl ExecHook for Monitor<'_> {
         if !self.sample() {
             return;
         }
-        let mut vars = Vec::new();
-        if let Some((num, is_len)) = ret.and_then(|v| v.numeric_view()) {
-            let measure = if is_len {
-                Measure::Length
-            } else {
-                Measure::Value
-            };
-            vars.push((VarId::new("ret", VarRole::Return, measure), num));
-        }
-        vars.extend(Self::global_vars(globals, gvals));
+        let mut vars = Vec::with_capacity(1 + globals.len());
+        vars.extend(ret.and_then(|v| logged(&self.ret_name, VarRole::Return, v)));
+        push_globals(&mut vars, globals, gvals);
         self.records.push(LogRecord {
             loc: Location {
-                func: func.name.clone(),
+                func: Arc::clone(&func.name),
                 event: FnEvent::Leave,
             },
             vars,

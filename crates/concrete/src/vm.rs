@@ -251,12 +251,11 @@ impl<'m, 'h> Interp<'m, 'h> {
 
     fn push_frame(&mut self, func: FuncId, args: Vec<Value>, ret_dst: Option<Reg>) {
         let body = self.module.func(func);
-        let mut regs = vec![Value::Unit; body.num_regs as usize];
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = a.clone();
-        }
         self.hook
             .on_enter(body, &args, &self.module.globals, &self.globals);
+        // Parameters occupy the leading registers.
+        let mut regs = args;
+        regs.resize(body.num_regs as usize, Value::Unit);
         self.stack.push(Frame {
             func,
             block: body.entry(),
@@ -281,27 +280,26 @@ impl<'m, 'h> Interp<'m, 'h> {
         let func = self
             .stack
             .last()
-            .map(|f| self.module.func(f.func).name.clone())
+            .map(|f| self.module.func(f.func).name.to_string())
             .unwrap_or_default();
         Flow::Halt(Outcome::Fault(Fault { kind, func, span }))
     }
 
     fn step(&mut self) -> Result<Flow, VmError> {
-        let frame = self.stack.last().expect("non-empty stack while running");
-        let body = self.module.func(frame.func);
-        let block = &body.blocks[frame.block.index()];
+        let module: &'m Module = self.module;
+        let frame = self
+            .stack
+            .last_mut()
+            .expect("non-empty stack while running");
+        let block = &module.func(frame.func).blocks[frame.block.index()];
 
         if frame.idx < block.insts.len() {
             let (inst, span) = &block.insts[frame.idx];
-            let inst = inst.clone();
-            let span = *span;
-            self.stack.last_mut().unwrap().idx += 1;
-            self.exec_inst(inst, span)
+            frame.idx += 1;
+            self.exec_inst(inst, *span)
         } else {
             let (term, span) = &block.term;
-            let term = term.clone();
-            let span = *span;
-            Ok(self.exec_term(term, span))
+            Ok(self.exec_term(term, *span))
         }
     }
 
@@ -313,10 +311,10 @@ impl<'m, 'h> Interp<'m, 'h> {
         self.stack.last_mut().unwrap().regs[r.index()] = v;
     }
 
-    fn exec_inst(&mut self, inst: Inst, span: minic::Span) -> Result<Flow, VmError> {
-        match inst {
-            Inst::Const { dst, value } => {
-                self.set_reg(dst, const_value(&value));
+    fn exec_inst(&mut self, inst: &'m Inst, span: minic::Span) -> Result<Flow, VmError> {
+        match *inst {
+            Inst::Const { dst, ref value } => {
+                self.set_reg(dst, const_value(value));
             }
             Inst::Move { dst, src } => {
                 let v = self.reg(src).clone();
@@ -345,7 +343,11 @@ impl<'m, 'h> Interp<'m, 'h> {
             Inst::StoreGlobal { global, src } => {
                 self.globals[global.index()] = self.reg(src).clone();
             }
-            Inst::Call { dst, func, args } => {
+            Inst::Call {
+                dst,
+                func,
+                ref args,
+            } => {
                 if self.stack.len() >= self.config.max_call_depth {
                     return Ok(self.fault(FaultKind::StackOverflow, span));
                 }
@@ -463,15 +465,14 @@ impl<'m, 'h> Interp<'m, 'h> {
                 let v = match (def.kind, provided) {
                     (InputKind::Int, InputValue::Int(v)) => Value::Int(*v),
                     (InputKind::Str { cap }, InputValue::Str(bytes)) => {
-                        let mut b = bytes.clone();
-                        b.truncate(cap as usize); // bounded read
-                        Value::str_from(b)
+                        // Bounded read: copy at most `cap` bytes.
+                        Value::str_from(&bytes[..bytes.len().min(cap as usize)])
                     }
                     _ => return Err(VmError::WrongInputKind(def.name.clone())),
                 };
                 self.set_reg(dst, v);
             }
-            Inst::Print { args } => {
+            Inst::Print { ref args } => {
                 let line: Vec<String> = args.iter().map(|r| self.reg(*r).to_string()).collect();
                 self.output.push(line.join(" "));
             }
@@ -488,8 +489,8 @@ impl<'m, 'h> Interp<'m, 'h> {
         Ok(Flow::Continue)
     }
 
-    fn exec_term(&mut self, term: Terminator, _span: minic::Span) -> Flow {
-        match term {
+    fn exec_term(&mut self, term: &'m Terminator, _span: minic::Span) -> Flow {
+        match *term {
             Terminator::Jump(b) => {
                 let frame = self.stack.last_mut().unwrap();
                 frame.block = b;

@@ -95,7 +95,7 @@ impl LogCorpus {
                 }
                 if let Some(fault) = &log.fault {
                     *fault_locs
-                        .entry(Location::enter(fault.func.clone()))
+                        .entry(Location::enter(fault.func.as_str()))
                         .or_default() += 1;
                 }
                 corpus.faulty_traces.push(trace);

@@ -358,7 +358,7 @@ mod tests {
         let mut ctx = TermCtx::new();
         let t = ctx.new_var("n", 0, 10_000);
         let args = [SymValue::Int(t)];
-        let params = [("n".to_string(), minic::Type::Int)];
+        let params = [(Arc::from("n"), minic::Type::Int)];
         let loc = Location::enter("f");
         let ev = EventCtx {
             loc: &loc,
@@ -394,7 +394,7 @@ mod tests {
             bytes: Arc::new(bytes.clone()),
         };
         let args = [SymValue::Str(s)];
-        let params = [("s".to_string(), minic::Type::Str)];
+        let params = [(Arc::from("s"), minic::Type::Str)];
         let loc = Location::enter("f");
         let ev = EventCtx {
             loc: &loc,

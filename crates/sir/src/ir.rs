@@ -2,6 +2,7 @@
 
 use minic::{BinOp, Span, Type};
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -82,8 +83,8 @@ pub struct InputDef {
 /// A global variable definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalDef {
-    /// Source-level name.
-    pub name: String,
+    /// Source-level name, shared with every monitor record that logs it.
+    pub name: Arc<str>,
     /// Declared type (`int`, `bool`, or `str`).
     pub ty: Type,
     /// Initial value.
@@ -243,10 +244,10 @@ pub struct BasicBlock {
 /// A lowered function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncBody {
-    /// Source-level function name.
-    pub name: String,
+    /// Source-level function name, shared with every location naming it.
+    pub name: Arc<str>,
     /// Parameter names and types; parameters occupy registers `0..params.len()`.
-    pub params: Vec<(String, Type)>,
+    pub params: Vec<(Arc<str>, Type)>,
     /// Return type, if any.
     pub ret: Option<Type>,
     /// Basic blocks; block 0 is the entry.
@@ -294,13 +295,13 @@ impl Module {
     pub fn func_id(&self, name: &str) -> Option<FuncId> {
         self.funcs
             .iter()
-            .position(|f| f.name == name)
+            .position(|f| &*f.name == name)
             .map(|i| FuncId(i as u32))
     }
 
     /// Looks up a function body by name.
     pub fn function_by_name(&self, name: &str) -> Option<&FuncBody> {
-        self.funcs.iter().find(|f| f.name == name)
+        self.funcs.iter().find(|f| &*f.name == name)
     }
 
     /// The body of `id`.
@@ -316,7 +317,7 @@ impl Module {
     pub fn global_id(&self, name: &str) -> Option<GlobalId> {
         self.globals
             .iter()
-            .position(|g| g.name == name)
+            .position(|g| &*g.name == name)
             .map(|i| GlobalId(i as u32))
     }
 

@@ -38,7 +38,7 @@ pub fn lower(program: &Program) -> Result<Module> {
             (None, Type::Buf(_)) => unreachable!("checker rejects global buffers"),
         };
         module.globals.push(GlobalDef {
-            name: g.name.clone(),
+            name: g.name.as_str().into(),
             ty: g.ty,
             init,
         });
@@ -189,8 +189,12 @@ impl<'a> FnLowerer<'a> {
             self.default_return(f);
         }
         Ok(FuncBody {
-            name: f.name.clone(),
-            params: f.params.iter().map(|p| (p.name.clone(), p.ty)).collect(),
+            name: f.name.as_str().into(),
+            params: f
+                .params
+                .iter()
+                .map(|p| (p.name.as_str().into(), p.ty))
+                .collect(),
             ret: f.ret,
             blocks: std::mem::take(&mut self.blocks),
             num_regs: self.next_reg,

@@ -48,7 +48,7 @@ pub fn verify(module: &Module) -> Result<(), VerifyError> {
     }
     for f in &module.funcs {
         verify_func(module, f).map_err(|message| VerifyError {
-            function: Some(f.name.clone()),
+            function: Some(f.name.to_string()),
             message,
         })?;
     }

@@ -147,10 +147,10 @@ impl StepAttr {
         let mut name = String::new();
         for key in keys {
             let cell = self.map[&key];
-            let func = if key == EXIT_KEY {
+            let func: &str = if key == EXIT_KEY {
                 "exit"
             } else {
-                module.func(sir::FuncId(key.0)).name.as_str()
+                &module.func(sir::FuncId(key.0)).name
             };
             let dims = [
                 cell.steps,

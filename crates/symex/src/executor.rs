@@ -178,7 +178,7 @@ impl<'e> ExecEnv<'e> {
     fn fault(&self, state: &State, kind: FaultKind, span: Span) -> Fault {
         Fault {
             kind,
-            func: self.module.func(state.frame().func).name.clone(),
+            func: self.module.func(state.frame().func).name.to_string(),
             span,
         }
     }
@@ -189,7 +189,7 @@ impl<'e> ExecEnv<'e> {
         &mut self,
         state: &mut State,
         loc: Location,
-        params: &[(String, minic::Type)],
+        params: &[(Arc<str>, minic::Type)],
         args: &[SymValue],
         ret: Option<&SymValue>,
     ) -> Option<StepResult> {
@@ -295,11 +295,10 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     // Deliver the main():enter event (guidance may constrain globals or
     // advance candidate-path progress). A suspend decision here is
     // ignored — the initial state must run.
-    let params = main.params.clone();
     match env.apply_event(
         &mut state,
-        Location::enter(&main.name),
-        &params,
+        Location::enter(Arc::clone(&main.name)),
+        &main.params,
         &args,
         None,
     ) {
@@ -349,17 +348,17 @@ fn push_frame(
 /// Executes one instruction (or terminator) of `state`.
 pub(crate) fn step(env: &mut ExecEnv<'_>, mut state: State) -> StepResult {
     env.stats.steps += 1;
-    let frame = state.frame();
-    let body = env.module.func(frame.func);
-    let block = &body.blocks[frame.block.index()];
+    let module = env.module;
+    let frame = state.frame_mut();
+    let block = &module.func(frame.func).blocks[frame.block.index()];
 
     if frame.idx < block.insts.len() {
-        let (inst, span) = block.insts[frame.idx].clone();
-        state.frame_mut().idx += 1;
-        exec_inst(env, state, inst, span)
+        let (inst, span) = &block.insts[frame.idx];
+        frame.idx += 1;
+        exec_inst(env, state, inst, *span)
     } else {
-        let (term, span) = block.term.clone();
-        exec_term(env, state, term, span)
+        let (term, span) = &block.term;
+        exec_term(env, state, term, *span)
     }
 }
 
@@ -371,10 +370,10 @@ fn set_reg(state: &mut State, r: Reg, v: SymValue) {
     state.frame_mut().regs[r.index()] = v;
 }
 
-fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: Inst, span: Span) -> StepResult {
-    match inst {
-        Inst::Const { dst, value } => {
-            let v = const_sym(env.ctx, &value);
+fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: &Inst, span: Span) -> StepResult {
+    match *inst {
+        Inst::Const { dst, ref value } => {
+            let v = const_sym(env.ctx, value);
             set_reg(&mut state, dst, v);
             StepResult::Continue(state)
         }
@@ -404,7 +403,11 @@ fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: Inst, span: Span) ->
             state.globals[global.index()] = reg(&state, src).clone();
             StepResult::Continue(state)
         }
-        Inst::Call { dst, func, args } => {
+        Inst::Call {
+            dst,
+            func,
+            ref args,
+        } => {
             if state.frames.len() >= env.max_call_depth {
                 let fault = env.fault(&state, FaultKind::StackOverflow, span);
                 return StepResult::Fault(state, fault);
@@ -412,11 +415,8 @@ fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: Inst, span: Span) ->
             let argv: Vec<SymValue> = args.iter().map(|r| reg(&state, *r).clone()).collect();
             push_frame(env.module, &mut state, func, argv.clone(), dst);
             let body = env.module.func(func);
-            let name = body.name.clone();
-            let params = body.params.clone();
-            if let Some(outcome) =
-                env.apply_event(&mut state, Location::enter(name), &params, &argv, None)
-            {
+            let loc = Location::enter(Arc::clone(&body.name));
+            if let Some(outcome) = env.apply_event(&mut state, loc, &body.params, &argv, None) {
                 return outcome;
             }
             StepResult::Continue(state)
@@ -1128,8 +1128,8 @@ fn make_input_sym(ctx: &mut TermCtx, def: &sir::InputDef) -> SymValue {
     }
 }
 
-fn exec_term(env: &mut ExecEnv<'_>, mut state: State, term: Terminator, span: Span) -> StepResult {
-    match term {
+fn exec_term(env: &mut ExecEnv<'_>, mut state: State, term: &Terminator, span: Span) -> StepResult {
+    match *term {
         Terminator::Jump(b) => {
             let f = state.frame_mut();
             f.block = b;
@@ -1177,11 +1177,9 @@ fn exec_term(env: &mut ExecEnv<'_>, mut state: State, term: Terminator, span: Sp
         Terminator::Return(r) => {
             let _ = span;
             let ret = r.map(|r| reg(&state, r).clone());
-            let body = env.module.func(state.frame().func);
-            let name = body.name.clone();
-            if let Some(outcome) =
-                env.apply_event(&mut state, Location::leave(name), &[], &[], ret.as_ref())
-            {
+            let name = &env.module.func(state.frame().func).name;
+            let loc = Location::leave(Arc::clone(name));
+            if let Some(outcome) = env.apply_event(&mut state, loc, &[], &[], ret.as_ref()) {
                 return outcome;
             }
             let ret_dst = state.frame().ret_dst;

@@ -15,6 +15,7 @@ use crate::state::StateMeta;
 use crate::value::SymValue;
 use concrete::Location;
 use solver::{Constraint, TermCtx};
+use std::sync::Arc;
 
 /// Everything a hook can observe at one function-boundary event.
 #[derive(Debug)]
@@ -22,7 +23,7 @@ pub struct EventCtx<'a> {
     /// The event location (`f():enter` / `f():leave`).
     pub loc: &'a Location,
     /// Callee parameter names/types (entry events; empty on exit).
-    pub params: &'a [(String, minic::Type)],
+    pub params: &'a [(Arc<str>, minic::Type)],
     /// Argument values parallel to `params` (entry events).
     pub args: &'a [SymValue],
     /// Return value (exit events).
@@ -38,7 +39,7 @@ impl EventCtx<'_> {
     pub fn arg(&self, name: &str) -> Option<&SymValue> {
         self.params
             .iter()
-            .position(|(n, _)| n == name)
+            .position(|(n, _)| &**n == name)
             .and_then(|i| self.args.get(i))
     }
 
@@ -46,7 +47,7 @@ impl EventCtx<'_> {
     pub fn global(&self, name: &str) -> Option<&SymValue> {
         self.global_defs
             .iter()
-            .position(|g| g.name == name)
+            .position(|g| &*g.name == name)
             .and_then(|i| self.globals.get(i))
     }
 }
