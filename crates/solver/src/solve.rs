@@ -183,6 +183,8 @@ pub struct Solver {
     shared: Option<Arc<dyn QueryCache + Send + Sync>>,
     ucache: Option<Arc<UnsatCache>>,
     prov: Prov,
+    /// Per-site metric names for traced queries (see `site_names`).
+    site_names: Vec<(&'static str, [String; 3])>,
 }
 
 /// Transient provenance context stamped onto query events (see
@@ -395,15 +397,34 @@ impl Solver {
             });
         }
         if let Some(site) = site {
-            use statsym_telemetry::names::SOLVER_SITE_PREFIX;
-            rec.counter_add(&format!("{SOLVER_SITE_PREFIX}{site}.queries"), 1);
-            rec.counter_add(
-                &format!("{SOLVER_SITE_PREFIX}{site}.nodes"),
-                self.stats.nodes - nodes_before,
-            );
-            rec.observe_wall(&format!("{SOLVER_SITE_PREFIX}{site}.query_us"), elapsed);
+            let nodes = self.stats.nodes - nodes_before;
+            let [queries, nodes_name, query_us] = self.site_names(site);
+            rec.counter_add(queries, 1);
+            rec.counter_add(nodes_name, nodes);
+            rec.observe_wall(query_us, elapsed);
         }
         result
+    }
+
+    /// The `.queries`, `.nodes` and `.query_us` metric names of `site`,
+    /// built on the site's first traced query.
+    fn site_names(&mut self, site: &'static str) -> &[String; 3] {
+        let i = match self.site_names.iter().position(|(s, _)| *s == site) {
+            Some(i) => i,
+            None => {
+                use statsym_telemetry::names::SOLVER_SITE_PREFIX;
+                self.site_names.push((
+                    site,
+                    [
+                        format!("{SOLVER_SITE_PREFIX}{site}.queries"),
+                        format!("{SOLVER_SITE_PREFIX}{site}.nodes"),
+                        format!("{SOLVER_SITE_PREFIX}{site}.query_us"),
+                    ],
+                ));
+                self.site_names.len() - 1
+            }
+        };
+        &self.site_names[i].1
     }
 
     fn check_inner(
@@ -428,7 +449,12 @@ impl Solver {
                 SatResult::Unsat => self.stats.unsat += 1,
                 SatResult::Unknown => self.stats.unknown += 1,
             }
-            return hit.clone();
+            // A model-free caller gets an empty model, as on a shared
+            // `Sat` hit, instead of a copy of the cached one.
+            return match hit {
+                SatResult::Sat(_) if !needs_model => SatResult::Sat(Model::default()),
+                _ => hit.clone(),
+            };
         }
         if let Some(uc) = self.ucache.clone() {
             let hashes = sorted_hashes(ctx, constraints);
@@ -496,15 +522,7 @@ impl Solver {
         }
         self.prov.last_cache = qd::SEARCH;
 
-        let mut search = Search {
-            ctx,
-            constraints,
-            config: self.config,
-            nodes: 0,
-            rounds: 0,
-            backtracks: 0,
-            budget_hit: false,
-        };
+        let mut search = Search::new(ctx, constraints, self.config);
         let result = search.run();
         self.stats.nodes += search.nodes;
         self.stats.propagation_rounds += search.rounds;
@@ -636,15 +654,7 @@ impl Solver {
             self.stats.indep_comp_hits += 1;
             return hit.clone();
         }
-        let mut search = Search {
-            ctx,
-            constraints: comp,
-            config: self.config,
-            nodes: 0,
-            rounds: 0,
-            backtracks: 0,
-            budget_hit: false,
-        };
+        let mut search = Search::new(ctx, comp, self.config);
         let result = search.run();
         self.stats.nodes += search.nodes;
         self.stats.propagation_rounds += search.rounds;
@@ -688,19 +698,46 @@ fn sorted_hashes(ctx: &TermCtx, constraints: &[Constraint]) -> Vec<u64> {
     v
 }
 
+/// One node of a compiled query: a term whose children are indices into
+/// [`Search::terms`] and whose variable is a query-local index.
+#[derive(Clone, Copy)]
+enum Node {
+    Const(i64),
+    Var(u32),
+    Add(u32, u32),
+    Sub(u32, u32),
+    Mul(u32, u32),
+    Div(u32, u32),
+    Rem(u32, u32),
+    Neg(u32),
+}
+
+/// A query compiled once for the search: the conjuncts' term DAG as a
+/// local node array, domains as a `Vec` indexed by local variable, and a
+/// watch list from each variable to the conjuncts that read it.
+///
+/// Propagation keeps a dirty flag per conjunct and revises only dirty
+/// ones. A conjunct is clean when its last revise changed nothing and
+/// none of its variables changed since; `revise` is deterministic in
+/// those domains, so revising it again would change nothing either.
+/// Skipping it therefore leaves verdicts, models and every counter as a
+/// full sweep would, including on nodes cut off by `max_rounds`.
 struct Search<'a> {
     ctx: &'a TermCtx,
     constraints: &'a [Constraint],
     config: SolverConfig,
+    terms: Vec<Node>,
+    /// Local variable index to global id.
+    vars: Vec<VarId>,
+    /// `(op, lhs, rhs)` per conjunct, in query order.
+    cons: Vec<(CmpOp, u32, u32)>,
+    /// Local variable index to the conjuncts that read it.
+    watch: Vec<Vec<u32>>,
     nodes: u64,
     rounds: u64,
     backtracks: u64,
     budget_hit: bool,
 }
-
-/// Domains are indexed by `VarId`; only variables relevant to the query
-/// are tracked.
-type Domains = HashMap<VarId, Interval>;
 
 enum PropOutcome {
     Ok,
@@ -708,77 +745,147 @@ enum PropOutcome {
 }
 
 impl<'a> Search<'a> {
-    fn run(&mut self) -> SatResult {
-        let mut domains: Domains = HashMap::new();
-        for c in self.constraints {
-            for t in [c.lhs, c.rhs] {
-                for v in self.ctx.vars_of(t) {
-                    domains.entry(v).or_insert_with(|| self.ctx.var_domain(v));
+    /// Compiles `constraints`, walking each distinct term once.
+    fn new(ctx: &'a TermCtx, constraints: &'a [Constraint], config: SolverConfig) -> Search<'a> {
+        let mut s = Search {
+            ctx,
+            constraints,
+            config,
+            terms: Vec::new(),
+            vars: Vec::new(),
+            cons: Vec::with_capacity(constraints.len()),
+            watch: Vec::new(),
+            nodes: 0,
+            rounds: 0,
+            backtracks: 0,
+            budget_hit: false,
+        };
+        let mut memo = HashMap::new();
+        for c in constraints {
+            let lhs = s.compile(c.lhs, &mut memo);
+            let rhs = s.compile(c.rhs, &mut memo);
+            s.cons.push((c.op, lhs, rhs));
+        }
+        // Each conjunct's variables, found by a walk over its local DAG
+        // that visits every node at most once per conjunct.
+        let mut seen = vec![u32::MAX; s.terms.len()];
+        let mut stack = Vec::new();
+        for (ci, &(_, lhs, rhs)) in s.cons.iter().enumerate() {
+            let ci = ci as u32;
+            stack.extend([lhs, rhs]);
+            while let Some(n) = stack.pop() {
+                if std::mem::replace(&mut seen[n as usize], ci) == ci {
+                    continue;
+                }
+                match s.terms[n as usize] {
+                    Node::Const(_) => {}
+                    Node::Var(v) => s.watch[v as usize].push(ci),
+                    Node::Add(a, b)
+                    | Node::Sub(a, b)
+                    | Node::Mul(a, b)
+                    | Node::Div(a, b)
+                    | Node::Rem(a, b) => stack.extend([a, b]),
+                    Node::Neg(a) => stack.push(a),
                 }
             }
         }
-        match self.search(domains) {
+        s
+    }
+
+    fn compile(&mut self, t: TermId, memo: &mut HashMap<TermId, u32>) -> u32 {
+        if let Some(&n) = memo.get(&t) {
+            return n;
+        }
+        let node = match self.ctx.term(t) {
+            Term::Const(v) => Node::Const(v),
+            // Variables are interned, so the memo also dedupes them.
+            Term::Var(v) => {
+                self.vars.push(v);
+                self.watch.push(Vec::new());
+                Node::Var(self.vars.len() as u32 - 1)
+            }
+            Term::Add(a, b) => Node::Add(self.compile(a, memo), self.compile(b, memo)),
+            Term::Sub(a, b) => Node::Sub(self.compile(a, memo), self.compile(b, memo)),
+            Term::Mul(a, b) => Node::Mul(self.compile(a, memo), self.compile(b, memo)),
+            Term::Div(a, b) => Node::Div(self.compile(a, memo), self.compile(b, memo)),
+            Term::Rem(a, b) => Node::Rem(self.compile(a, memo), self.compile(b, memo)),
+            Term::Neg(a) => Node::Neg(self.compile(a, memo)),
+        };
+        let n = self.terms.len() as u32;
+        self.terms.push(node);
+        memo.insert(t, n);
+        n
+    }
+
+    fn run(&mut self) -> SatResult {
+        let domains = self.vars.iter().map(|&v| self.ctx.var_domain(v)).collect();
+        let dirty = vec![true; self.cons.len()];
+        match self.search(domains, dirty) {
             Some(model) => SatResult::Sat(model),
             None if self.budget_hit => SatResult::Unknown,
             None => SatResult::Unsat,
         }
     }
 
-    fn search(&mut self, mut domains: Domains) -> Option<Model> {
+    fn search(&mut self, mut domains: Vec<Interval>, mut dirty: Vec<bool>) -> Option<Model> {
         self.nodes += 1;
         if self.nodes > self.config.max_nodes {
             self.budget_hit = true;
             return None;
         }
-        if let PropOutcome::Contradiction = self.propagate(&mut domains) {
+        if let PropOutcome::Contradiction = self.propagate(&mut domains, &mut dirty) {
             return None;
         }
         // Pick the unfixed variable with the smallest domain.
-        let branch_var = domains
-            .iter()
-            .filter(|(_, d)| !d.is_point())
-            .min_by_key(|(v, d)| (d.width(), v.0))
-            .map(|(v, d)| (*v, *d));
-        let Some((var, dom)) = branch_var else {
+        let branch_var = (0..self.vars.len())
+            .filter(|&i| !domains[i].is_point())
+            .min_by_key(|&i| (domains[i].width(), self.vars[i].0));
+        let Some(var) = branch_var else {
             // All variables fixed: verify concretely (propagation over
             // div/rem is conservative, so this check is load-bearing).
+            let values = self.vars.iter().zip(&domains).map(|(v, d)| (*v, d.lo));
             let model = Model {
-                values: domains.iter().map(|(v, d)| (*v, d.lo)).collect(),
+                values: values.collect(),
             };
             return model.satisfies(self.ctx, self.constraints).then_some(model);
         };
         // Lo-first splitting: try the smallest value, else the rest of
         // the domain. Complete, and reaches a model in O(#vars) nodes on
         // the byte-constraint chains symbolic string exploration emits.
-        for (i, part) in [
-            Interval::point(dom.lo),
-            Interval::new(dom.lo.saturating_add(1), dom.hi),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                self.backtracks += 1;
-            }
-            let mut next = domains.clone();
-            next.insert(var, part);
-            if let Some(m) = self.search(next) {
-                return Some(m);
-            }
-            if self.budget_hit {
-                return None;
-            }
+        // The second child reuses this node's vectors.
+        let dom = domains[var];
+        let (mut lo_domains, mut lo_dirty) = (domains.clone(), dirty.clone());
+        self.set_domain(var, Interval::point(dom.lo), &mut lo_domains, &mut lo_dirty);
+        if let Some(m) = self.search(lo_domains, lo_dirty) {
+            return Some(m);
         }
-        None
+        if self.budget_hit {
+            return None;
+        }
+        self.backtracks += 1;
+        let rest = Interval::new(dom.lo.saturating_add(1), dom.hi);
+        self.set_domain(var, rest, &mut domains, &mut dirty);
+        self.search(domains, dirty)
     }
 
-    /// Revises all constraints until fixpoint (or the round bound).
-    fn propagate(&mut self, domains: &mut Domains) -> PropOutcome {
+    /// Sets the domain of local variable `var` and dirties its watchers.
+    fn set_domain(&self, var: usize, d: Interval, domains: &mut [Interval], dirty: &mut [bool]) {
+        domains[var] = d;
+        for &c in &self.watch[var] {
+            dirty[c as usize] = true;
+        }
+    }
+
+    /// Revises dirty constraints until fixpoint (or the round bound).
+    fn propagate(&mut self, domains: &mut [Interval], dirty: &mut [bool]) -> PropOutcome {
         for _ in 0..self.config.max_rounds {
             self.rounds += 1;
             let mut changed = false;
-            for c in self.constraints {
-                match self.revise(c, domains) {
+            for c in 0..self.cons.len() {
+                if !std::mem::take(&mut dirty[c]) {
+                    continue;
+                }
+                match self.revise(c, domains, dirty) {
                     Ok(ch) => changed |= ch,
                     Err(()) => return PropOutcome::Contradiction,
                 }
@@ -790,30 +897,35 @@ impl<'a> Search<'a> {
         PropOutcome::Ok
     }
 
-    fn eval(&self, t: TermId, domains: &Domains) -> Interval {
-        match self.ctx.term(t) {
-            Term::Const(v) => Interval::point(v),
-            Term::Var(v) => domains
-                .get(&v)
-                .copied()
-                .unwrap_or_else(|| self.ctx.var_domain(v)),
-            Term::Add(a, b) => self.eval(a, domains).add(self.eval(b, domains)),
-            Term::Sub(a, b) => self.eval(a, domains).sub(self.eval(b, domains)),
-            Term::Mul(a, b) => self.eval(a, domains).mul(self.eval(b, domains)),
-            Term::Div(a, b) => self.eval(a, domains).div(self.eval(b, domains)),
-            Term::Rem(a, b) => self.eval(a, domains).rem(self.eval(b, domains)),
-            Term::Neg(a) => self.eval(a, domains).neg(),
+    fn eval(&self, t: u32, domains: &[Interval]) -> Interval {
+        match self.terms[t as usize] {
+            Node::Const(v) => Interval::point(v),
+            Node::Var(v) => domains[v as usize],
+            Node::Add(a, b) => self.eval(a, domains).add(self.eval(b, domains)),
+            Node::Sub(a, b) => self.eval(a, domains).sub(self.eval(b, domains)),
+            Node::Mul(a, b) => self.eval(a, domains).mul(self.eval(b, domains)),
+            Node::Div(a, b) => self.eval(a, domains).div(self.eval(b, domains)),
+            Node::Rem(a, b) => self.eval(a, domains).rem(self.eval(b, domains)),
+            Node::Neg(a) => self.eval(a, domains).neg(),
         }
     }
 
-    /// One HC4 revise of a single constraint. `Err(())` = contradiction.
-    fn revise(&self, c: &Constraint, domains: &mut Domains) -> Result<bool, ()> {
-        let l = self.eval(c.lhs, domains);
-        let r = self.eval(c.rhs, domains);
+    fn as_const(&self, t: u32) -> Option<i64> {
+        match self.terms[t as usize] {
+            Node::Const(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// One HC4 revise of conjunct `c`. `Err(())` = contradiction.
+    fn revise(&self, c: usize, domains: &mut [Interval], dirty: &mut [bool]) -> Result<bool, ()> {
+        let (op, lhs, rhs) = self.cons[c];
+        let l = self.eval(lhs, domains);
+        let r = self.eval(rhs, domains);
         if l.is_empty() || r.is_empty() {
             return Err(());
         }
-        let (l_target, r_target) = match c.op {
+        let (l_target, r_target) = match op {
             CmpOp::Le => {
                 if l.lo > r.hi {
                     return Err(());
@@ -868,13 +980,20 @@ impl<'a> Search<'a> {
                 (lt, rt)
             }
         };
-        let mut changed = self.narrow(c.lhs, l_target, domains)?;
-        changed |= self.narrow(c.rhs, r_target, domains)?;
+        let mut changed = self.narrow(lhs, l_target, domains, dirty)?;
+        changed |= self.narrow(rhs, r_target, domains, dirty)?;
         Ok(changed)
     }
 
-    /// Backward (HC4) narrowing: force `eval(t) ⊆ target`.
-    fn narrow(&self, t: TermId, target: Interval, domains: &mut Domains) -> Result<bool, ()> {
+    /// Backward (HC4) narrowing: force `eval(t) ⊆ target`. A narrowed
+    /// variable dirties every conjunct that watches it.
+    fn narrow(
+        &self,
+        t: u32,
+        target: Interval,
+        domains: &mut [Interval],
+        dirty: &mut [bool],
+    ) -> Result<bool, ()> {
         let cur = self.eval(t, domains);
         let meet = cur.intersect(target);
         if meet.is_empty() {
@@ -883,44 +1002,44 @@ impl<'a> Search<'a> {
         if meet == cur {
             return Ok(false);
         }
-        match self.ctx.term(t) {
-            Term::Const(_) => Ok(false),
-            Term::Var(v) => {
-                domains.insert(v, meet);
+        match self.terms[t as usize] {
+            Node::Const(_) => Ok(false),
+            Node::Var(v) => {
+                self.set_domain(v as usize, meet, domains, dirty);
                 Ok(true)
             }
-            Term::Add(a, b) => {
+            Node::Add(a, b) => {
                 let eb = self.eval(b, domains);
-                let mut ch = self.narrow(a, meet.sub(eb), domains)?;
+                let mut ch = self.narrow(a, meet.sub(eb), domains, dirty)?;
                 let ea = self.eval(a, domains);
-                ch |= self.narrow(b, meet.sub(ea), domains)?;
+                ch |= self.narrow(b, meet.sub(ea), domains, dirty)?;
                 Ok(ch)
             }
-            Term::Sub(a, b) => {
+            Node::Sub(a, b) => {
                 let eb = self.eval(b, domains);
-                let mut ch = self.narrow(a, meet.add(eb), domains)?;
+                let mut ch = self.narrow(a, meet.add(eb), domains, dirty)?;
                 let ea = self.eval(a, domains);
-                ch |= self.narrow(b, ea.sub(meet), domains)?;
+                ch |= self.narrow(b, ea.sub(meet), domains, dirty)?;
                 Ok(ch)
             }
-            Term::Neg(a) => self.narrow(a, meet.neg(), domains),
-            Term::Mul(a, b) => {
+            Node::Neg(a) => self.narrow(a, meet.neg(), domains, dirty),
+            Node::Mul(a, b) => {
                 let mut ch = false;
-                if let Some(cb) = self.ctx.as_const(b) {
+                if let Some(cb) = self.as_const(b) {
                     if cb != 0 {
-                        ch |= self.narrow(a, div_range_for_mul(meet, cb), domains)?;
+                        ch |= self.narrow(a, div_range_for_mul(meet, cb), domains, dirty)?;
                     }
                 }
-                if let Some(ca) = self.ctx.as_const(a) {
+                if let Some(ca) = self.as_const(a) {
                     if ca != 0 {
-                        ch |= self.narrow(b, div_range_for_mul(meet, ca), domains)?;
+                        ch |= self.narrow(b, div_range_for_mul(meet, ca), domains, dirty)?;
                     }
                 }
                 Ok(ch)
             }
             // Division/remainder: evaluation-only (no backward narrowing);
             // the final concrete verification keeps this sound.
-            Term::Div(_, _) | Term::Rem(_, _) => Ok(false),
+            Node::Div(_, _) | Node::Rem(_, _) => Ok(false),
         }
     }
 }
@@ -952,6 +1071,250 @@ fn ceil_div(a: i64, b: i64) -> i64 {
         q + 1
     } else {
         q
+    }
+}
+
+/// The search as it was before queries were compiled: `HashMap`
+/// domains, every conjunct revised in every round, terms read through
+/// the `TermCtx`. Kept as the reference the compiled search must match
+/// exactly (verdict, model and work counters).
+#[cfg(test)]
+mod reference {
+    use super::{div_range_for_mul, Model, PropOutcome, SatResult, SolverConfig};
+    use crate::interval::Interval;
+    use crate::term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};
+    use std::collections::HashMap;
+
+    pub(super) struct Search<'a> {
+        pub(super) ctx: &'a TermCtx,
+        pub(super) constraints: &'a [Constraint],
+        pub(super) config: SolverConfig,
+        pub(super) nodes: u64,
+        pub(super) rounds: u64,
+        pub(super) backtracks: u64,
+        pub(super) budget_hit: bool,
+    }
+
+    /// Domains are indexed by `VarId`; only variables relevant to the query
+    /// are tracked.
+    type Domains = HashMap<VarId, Interval>;
+
+    impl<'a> Search<'a> {
+        pub(super) fn run(&mut self) -> SatResult {
+            let mut domains: Domains = HashMap::new();
+            for c in self.constraints {
+                for t in [c.lhs, c.rhs] {
+                    for v in self.ctx.vars_of(t) {
+                        domains.entry(v).or_insert_with(|| self.ctx.var_domain(v));
+                    }
+                }
+            }
+            match self.search(domains) {
+                Some(model) => SatResult::Sat(model),
+                None if self.budget_hit => SatResult::Unknown,
+                None => SatResult::Unsat,
+            }
+        }
+
+        fn search(&mut self, mut domains: Domains) -> Option<Model> {
+            self.nodes += 1;
+            if self.nodes > self.config.max_nodes {
+                self.budget_hit = true;
+                return None;
+            }
+            if let PropOutcome::Contradiction = self.propagate(&mut domains) {
+                return None;
+            }
+            // Pick the unfixed variable with the smallest domain.
+            let branch_var = domains
+                .iter()
+                .filter(|(_, d)| !d.is_point())
+                .min_by_key(|(v, d)| (d.width(), v.0))
+                .map(|(v, d)| (*v, *d));
+            let Some((var, dom)) = branch_var else {
+                // All variables fixed: verify concretely (propagation over
+                // div/rem is conservative, so this check is load-bearing).
+                let model = Model {
+                    values: domains.iter().map(|(v, d)| (*v, d.lo)).collect(),
+                };
+                return model.satisfies(self.ctx, self.constraints).then_some(model);
+            };
+            // Lo-first splitting: try the smallest value, else the rest of
+            // the domain. Complete, and reaches a model in O(#vars) nodes on
+            // the byte-constraint chains symbolic string exploration emits.
+            for (i, part) in [
+                Interval::point(dom.lo),
+                Interval::new(dom.lo.saturating_add(1), dom.hi),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                if i > 0 {
+                    self.backtracks += 1;
+                }
+                let mut next = domains.clone();
+                next.insert(var, part);
+                if let Some(m) = self.search(next) {
+                    return Some(m);
+                }
+                if self.budget_hit {
+                    return None;
+                }
+            }
+            None
+        }
+
+        /// Revises all constraints until fixpoint (or the round bound).
+        fn propagate(&mut self, domains: &mut Domains) -> PropOutcome {
+            for _ in 0..self.config.max_rounds {
+                self.rounds += 1;
+                let mut changed = false;
+                for c in self.constraints {
+                    match self.revise(c, domains) {
+                        Ok(ch) => changed |= ch,
+                        Err(()) => return PropOutcome::Contradiction,
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            PropOutcome::Ok
+        }
+
+        fn eval(&self, t: TermId, domains: &Domains) -> Interval {
+            match self.ctx.term(t) {
+                Term::Const(v) => Interval::point(v),
+                Term::Var(v) => domains
+                    .get(&v)
+                    .copied()
+                    .unwrap_or_else(|| self.ctx.var_domain(v)),
+                Term::Add(a, b) => self.eval(a, domains).add(self.eval(b, domains)),
+                Term::Sub(a, b) => self.eval(a, domains).sub(self.eval(b, domains)),
+                Term::Mul(a, b) => self.eval(a, domains).mul(self.eval(b, domains)),
+                Term::Div(a, b) => self.eval(a, domains).div(self.eval(b, domains)),
+                Term::Rem(a, b) => self.eval(a, domains).rem(self.eval(b, domains)),
+                Term::Neg(a) => self.eval(a, domains).neg(),
+            }
+        }
+
+        /// One HC4 revise of a single constraint. `Err(())` = contradiction.
+        fn revise(&self, c: &Constraint, domains: &mut Domains) -> Result<bool, ()> {
+            let l = self.eval(c.lhs, domains);
+            let r = self.eval(c.rhs, domains);
+            if l.is_empty() || r.is_empty() {
+                return Err(());
+            }
+            let (l_target, r_target) = match c.op {
+                CmpOp::Le => {
+                    if l.lo > r.hi {
+                        return Err(());
+                    }
+                    (Interval::new(i64::MIN, r.hi), Interval::new(l.lo, i64::MAX))
+                }
+                CmpOp::Lt => {
+                    if l.lo >= r.hi {
+                        return Err(());
+                    }
+                    (
+                        Interval::new(i64::MIN, r.hi.saturating_sub(1)),
+                        Interval::new(l.lo.saturating_add(1), i64::MAX),
+                    )
+                }
+                CmpOp::Eq => {
+                    let meet = l.intersect(r);
+                    if meet.is_empty() {
+                        return Err(());
+                    }
+                    (meet, meet)
+                }
+                CmpOp::Ne => {
+                    if l.is_point() && r.is_point() && l.lo == r.lo {
+                        return Err(());
+                    }
+                    // Shave an endpoint when the other side is a singleton.
+                    let mut lt = l;
+                    let mut rt = r;
+                    if r.is_point() {
+                        if lt.lo == r.lo {
+                            lt.lo = lt.lo.saturating_add(1);
+                        }
+                        if lt.hi == r.lo {
+                            lt.hi = lt.hi.saturating_sub(1);
+                        }
+                        if lt.is_empty() {
+                            return Err(());
+                        }
+                    }
+                    if l.is_point() {
+                        if rt.lo == l.lo {
+                            rt.lo = rt.lo.saturating_add(1);
+                        }
+                        if rt.hi == l.lo {
+                            rt.hi = rt.hi.saturating_sub(1);
+                        }
+                        if rt.is_empty() {
+                            return Err(());
+                        }
+                    }
+                    (lt, rt)
+                }
+            };
+            let mut changed = self.narrow(c.lhs, l_target, domains)?;
+            changed |= self.narrow(c.rhs, r_target, domains)?;
+            Ok(changed)
+        }
+
+        /// Backward (HC4) narrowing: force `eval(t) ⊆ target`.
+        fn narrow(&self, t: TermId, target: Interval, domains: &mut Domains) -> Result<bool, ()> {
+            let cur = self.eval(t, domains);
+            let meet = cur.intersect(target);
+            if meet.is_empty() {
+                return Err(());
+            }
+            if meet == cur {
+                return Ok(false);
+            }
+            match self.ctx.term(t) {
+                Term::Const(_) => Ok(false),
+                Term::Var(v) => {
+                    domains.insert(v, meet);
+                    Ok(true)
+                }
+                Term::Add(a, b) => {
+                    let eb = self.eval(b, domains);
+                    let mut ch = self.narrow(a, meet.sub(eb), domains)?;
+                    let ea = self.eval(a, domains);
+                    ch |= self.narrow(b, meet.sub(ea), domains)?;
+                    Ok(ch)
+                }
+                Term::Sub(a, b) => {
+                    let eb = self.eval(b, domains);
+                    let mut ch = self.narrow(a, meet.add(eb), domains)?;
+                    let ea = self.eval(a, domains);
+                    ch |= self.narrow(b, ea.sub(meet), domains)?;
+                    Ok(ch)
+                }
+                Term::Neg(a) => self.narrow(a, meet.neg(), domains),
+                Term::Mul(a, b) => {
+                    let mut ch = false;
+                    if let Some(cb) = self.ctx.as_const(b) {
+                        if cb != 0 {
+                            ch |= self.narrow(a, div_range_for_mul(meet, cb), domains)?;
+                        }
+                    }
+                    if let Some(ca) = self.ctx.as_const(a) {
+                        if ca != 0 {
+                            ch |= self.narrow(b, div_range_for_mul(meet, ca), domains)?;
+                        }
+                    }
+                    Ok(ch)
+                }
+                // Division/remainder: evaluation-only (no backward narrowing);
+                // the final concrete verification keeps this sound.
+                Term::Div(_, _) | Term::Rem(_, _) => Ok(false),
+            }
+        }
     }
 }
 
@@ -1264,6 +1627,28 @@ mod tests {
         }
         assert_eq!(c.stats().shared_hits, 0);
         assert_eq!(c.stats().shared_misses, 1);
+    }
+
+    #[test]
+    fn private_sat_hit_is_model_free_for_check_sat() {
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 255);
+        let c5 = ctx.int(5);
+        let cs = [Constraint::new(CmpOp::Eq, x, c5)];
+        let mut solver = Solver::default();
+        assert!(solver.check(&ctx, &cs).is_sat());
+        // A model-free hit carries an empty model ...
+        assert_eq!(
+            solver.check_sat(&ctx, &cs),
+            SatResult::Sat(Model::default())
+        );
+        // ... and leaves the cached model for callers that need it.
+        match solver.check(&ctx, &cs) {
+            SatResult::Sat(m) => assert_eq!(m.value_of(x, &ctx), Some(5)),
+            other => panic!("expected sat, got {other:?}"),
+        }
+        let s = solver.stats();
+        assert_eq!((s.queries, s.cache_hits, s.sat), (3, 2, 3), "{s:?}");
     }
 
     #[test]
@@ -1589,5 +1974,154 @@ mod tests {
         assert_eq!(ceil_div(6, 3), 2);
         assert_eq!(floor_div(7, -2), -4);
         assert_eq!(ceil_div(-7, -2), 4);
+    }
+
+    /// What one search returns and the work it counted:
+    /// `(result, nodes, rounds, backtracks, budget_hit)`.
+    type Outcome = (SatResult, u64, u64, u64, bool);
+
+    /// Runs the compiled search and the reference on one query.
+    fn run_both(ctx: &TermCtx, cs: &[Constraint], config: SolverConfig) -> (Outcome, Outcome) {
+        let mut s = Search::new(ctx, cs, config);
+        let r = s.run();
+        let new = (r, s.nodes, s.rounds, s.backtracks, s.budget_hit);
+        let mut s = reference::Search {
+            ctx,
+            constraints: cs,
+            config,
+            nodes: 0,
+            rounds: 0,
+            backtracks: 0,
+            budget_hit: false,
+        };
+        let r = s.run();
+        (new, (r, s.nodes, s.rounds, s.backtracks, s.budget_hit))
+    }
+
+    #[test]
+    fn mutual_lt_truncates_at_max_rounds_like_reference() {
+        // Each revise of x < y ∧ y < x over [0, 1000] shaves one value
+        // off each end, so every node hits the 64-round cap before the
+        // domains cross; only splitting refutes the query.
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 1000);
+        let y = ctx.new_var("y", 0, 1000);
+        let cs = [
+            Constraint::new(CmpOp::Lt, x, y),
+            Constraint::new(CmpOp::Lt, y, x),
+        ];
+        let (new, old) = run_both(&ctx, &cs, SolverConfig::default());
+        assert_eq!(new, old);
+        assert_eq!(new, (SatResult::Unsat, 7, 253, 3, false));
+    }
+
+    #[test]
+    fn child_inherits_dirty_flags_of_truncated_parent() {
+        // One round per node: the root stops with x < y and y < x still
+        // dirty, then branches on the narrower `a`, which neither reads.
+        // The children must still revise them.
+        let mut ctx = TermCtx::new();
+        let a = ctx.new_var("a", 0, 3);
+        let x = ctx.new_var("x", 0, 1000);
+        let y = ctx.new_var("y", 0, 1000);
+        let one = ctx.int(1);
+        let cs = [
+            Constraint::new(CmpOp::Ne, a, one),
+            Constraint::new(CmpOp::Lt, x, y),
+            Constraint::new(CmpOp::Lt, y, x),
+        ];
+        let config = SolverConfig {
+            max_rounds: 1,
+            ..SolverConfig::default()
+        };
+        let (new, old) = run_both(&ctx, &cs, config);
+        assert_eq!(new, old);
+        assert_eq!(new, (SatResult::Unsat, 1195, 1195, 597, false));
+    }
+
+    /// A random term over up to six variables.
+    #[derive(Debug, Clone)]
+    enum Expr {
+        Var(usize),
+        Const(i64),
+        Neg(Box<Expr>),
+        /// Operator 0..5: add, sub, mul, div, rem.
+        Bin(u8, Box<Expr>, Box<Expr>),
+    }
+
+    fn expr() -> impl proptest::Strategy<Value = Expr> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0usize..6).prop_map(Expr::Var),
+            (0usize..6).prop_map(Expr::Var),
+            (-12i64..=12).prop_map(Expr::Const),
+        ]
+        .prop_recursive(3, 16, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|e| Expr::Neg(Box::new(e))),
+                (0u8..5, inner.clone(), inner).prop_map(|(op, a, b)| Expr::Bin(
+                    op,
+                    Box::new(a),
+                    Box::new(b)
+                )),
+            ]
+        })
+    }
+
+    fn build(ctx: &mut TermCtx, vars: &[TermId], e: &Expr) -> TermId {
+        match e {
+            Expr::Var(i) => vars[i % vars.len()],
+            Expr::Const(v) => ctx.int(*v),
+            Expr::Neg(a) => {
+                let a = build(ctx, vars, a);
+                ctx.neg(a)
+            }
+            Expr::Bin(op, a, b) => {
+                let (a, b) = (build(ctx, vars, a), build(ctx, vars, b));
+                match op {
+                    0 => ctx.add(a, b),
+                    1 => ctx.sub(a, b),
+                    2 => ctx.mul(a, b),
+                    3 => ctx.div(a, b),
+                    _ => ctx.rem(a, b),
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // The case count follows `PROPTEST_CASES` (CI runs this test
+        // with 20000 cases in release mode).
+        #[test]
+        fn compiled_search_matches_reference(
+            domains in proptest::collection::vec(
+                (-20i64..=20, proptest::prop_oneof![0i64..=40, 0i64..=3, proptest::Just(1000)]),
+                1..7,
+            ),
+            atoms in proptest::collection::vec((0u8..6, expr(), expr()), 1..7),
+            max_rounds in proptest::prop_oneof![1usize..=4, proptest::Just(64)],
+            max_nodes in proptest::prop_oneof![1u64..=8, proptest::Just(64), proptest::Just(2000)],
+        ) {
+            let mut ctx = TermCtx::new();
+            let vars: Vec<TermId> = domains
+                .iter()
+                .enumerate()
+                .map(|(i, &(lo, w))| ctx.new_var(format!("v{i}"), lo, lo + w))
+                .collect();
+            let cs: Vec<Constraint> = atoms
+                .iter()
+                .map(|(op, l, r)| {
+                    let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Le, CmpOp::Ne][*op as usize];
+                    Constraint::new(op, build(&mut ctx, &vars, l), build(&mut ctx, &vars, r))
+                })
+                .collect();
+            let config = SolverConfig {
+                max_rounds,
+                max_nodes,
+                ..SolverConfig::default()
+            };
+            let (new, old) = run_both(&ctx, &cs, config);
+            proptest::prop_assert_eq!(new, old, "{cs:?} under {config:?}");
+        }
     }
 }
